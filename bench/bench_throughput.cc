@@ -3,12 +3,14 @@
  * Host-throughput benchmark of the simulator's hot paths (the
  * BENCH_hotpath trajectory): SetAssocCache lookups/inserts per
  * replacement policy, StreamGen op generation, EventQueue scheduling
- * churn, raw RNG draws, and the end-to-end fig12 performance-scenario
- * wall clock. Unlike the bench_fig* binaries this measures *host*
- * speed (ns/op, Mops/s), so the values vary by machine; each row also
- * carries rel_cost — its cost normalized to a raw PCG32 draw on the
- * same host — which is stable enough across machines to regression-gate
- * in CI (see --baseline).
+ * churn, raw RNG draws, the end-to-end fig12 performance-scenario
+ * wall clock, and System construction time and RSS growth at 1/16/64
+ * nodes (construct_*_fig16n* summaries, reported only). Unlike the
+ * bench_fig* binaries this measures *host* speed (ns/op, Mops/s), so
+ * the values vary by machine; each row also carries rel_cost — its
+ * cost normalized to a raw PCG32 draw on the same host — which is
+ * stable enough across machines to regression-gate in CI (see
+ * --baseline).
  *
  *   bench_throughput [--json] [--out path] [--baseline path]
  *
@@ -25,6 +27,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "cache/set_assoc.hh"
 #include "harness/figure_report.hh"
@@ -192,6 +196,45 @@ timeFig16(const std::string& point, unsigned threads, int reps,
     return run;
 }
 
+/** Current resident set in MB (/proc/self/statm; 0 where absent). */
+double
+currentRssMb()
+{
+    std::ifstream statm("/proc/self/statm");
+    std::uint64_t size = 0, resident = 0;
+    statm >> size >> resident;
+    return static_cast<double>(resident) *
+           static_cast<double>(::sysconf(_SC_PAGESIZE)) / (1024.0 * 1024.0);
+}
+
+/**
+ * One fresh System construction of a fig16 scaling point: host
+ * seconds and resident-set growth while the System is alive. Host
+ * numbers — reported, never gated; the deterministic gate on
+ * construction memory is the Footprint.FamTableHostBytes* test.
+ */
+struct ConstructRun {
+    double seconds = 0.0;
+    double rssMb = 0.0;
+};
+
+ConstructRun
+timeConstruct(const std::string& point)
+{
+    const Scenario& scenario =
+        SweepRegistry::paperPoints().byName(point);
+    ScopedQuietLogs quiet;
+    ConstructRun run;
+    const double rss0 = currentRssMb();
+    auto t0 = std::chrono::steady_clock::now();
+    System system(scenario.config);
+    run.seconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+    run.rssMb = currentRssMb() - rss0;
+    return run;
+}
+
 /**
  * Extract row @p name's values array from a BENCH_hotpath.json dump.
  * Minimal scan matched to FigureReport::writeJson's fixed layout.
@@ -238,6 +281,16 @@ main(int argc, char** argv)
         "BENCH_hotpath",
         "Host throughput: hot-path structures and fig12 wall clock",
         "path", {"ns_per_op", "mops_per_sec", "rel_cost"});
+
+    // Construction cost per node count (page tables, prefault, broker
+    // tables), measured before anything else allocates and smallest
+    // first, so freed heap from earlier work cannot hide the growth.
+    const char* kConstructNodes[3] = {"n1", "n16", "n64"};
+    ConstructRun construct[3];
+    for (int p = 0; p < 3; ++p) {
+        construct[p] = timeConstruct(std::string("fig16_num_nodes.") +
+                                     kConstructNodes[p]);
+    }
 
     const std::uint64_t kIters = 4000000;
     double calib = timeRngDraws(4 * kIters) / double(4 * kIters);
@@ -352,6 +405,14 @@ main(int argc, char** argv)
         report.addSummary(std::string("windows_widened_") +
                               kScaledTag[p] + "_t4",
                           static_cast<double>(scaled[p][1].widened));
+    }
+    for (int p = 0; p < 3; ++p) {
+        report.addSummary(std::string("construct_s_fig16") +
+                              kConstructNodes[p],
+                          construct[p].seconds);
+        report.addSummary(std::string("construct_rss_mb_fig16") +
+                              kConstructNodes[p],
+                          construct[p].rssMb);
     }
     report.addMeta("seed_reference",
                    "pre-overhaul numbers measured on the dev host; see "

@@ -15,10 +15,11 @@
  * points that share the expensive construction state (topology, seed,
  * profile, OS/FAM geometry — see System::reusableAcross) are run via
  * System::reset() instead of a full reconstruction, which skips the
- * dominant page-table prefault cost. Reuse is a pure wall-clock
- * optimization: reset() is pinned to produce bit-identical statistics
- * to a fresh build (tests/test_executor.cc), so slot contents do not
- * depend on which worker ran which point.
+ * page-table prefault (cheap since page-table leaves are packed; see
+ * DESIGN.md "Sweep executor" for what reuse still buys). Reuse is a
+ * pure wall-clock optimization: reset() is pinned to produce
+ * bit-identical statistics to a fresh build (tests/test_executor.cc),
+ * so slot contents do not depend on which worker ran which point.
  */
 
 #ifndef FAMSIM_HARNESS_EXECUTOR_HH

@@ -14,21 +14,17 @@ HierarchicalPageTable::HierarchicalPageTable(AllocFn alloc)
 }
 
 HierarchicalPageTable::Table*
-HierarchicalPageTable::descend(std::uint64_t key_page, bool create)
+HierarchicalPageTable::descend(std::uint64_t key_page)
 {
     Table* table = root_.get();
     for (unsigned level = 0; level + 1 < kLevels; ++level) {
-        unsigned idx = levelIndex(key_page, level);
         if (!table->children) {
-            if (!create)
-                return nullptr;
             table->children =
                 std::make_unique<std::unique_ptr<Table>[]>(kEntries);
         }
-        std::unique_ptr<Table>& slot = table->children[idx];
+        std::unique_ptr<Table>& slot =
+            table->children[levelIndex(key_page, level)];
         if (!slot) {
-            if (!create)
-                return nullptr;
             slot = std::make_unique<Table>();
             slot->base = alloc_();
             ++tablePages_;
@@ -38,31 +34,41 @@ HierarchicalPageTable::descend(std::uint64_t key_page, bool create)
     return table;
 }
 
+HierarchicalPageTable::Table*
+HierarchicalPageTable::findLeafTable(std::uint64_t key_page) const
+{
+    Table* table = root_.get();
+    for (unsigned level = 0; level + 1 < kLevels; ++level) {
+        if (!table->children)
+            return nullptr;
+        table = table->children[levelIndex(key_page, level)].get();
+        if (!table)
+            return nullptr;
+    }
+    return table;
+}
+
 void
 HierarchicalPageTable::map(std::uint64_t key_page, std::uint64_t value_page,
                            Perms perms)
 {
-    Table* pte_table = descend(key_page, /*create=*/true);
-    unsigned idx = levelIndex(key_page, kLevels - 1);
-    if (!pte_table->leaves)
-        pte_table->leaves = std::make_unique<Leaf[]>(kEntries);
-    bool inserted = !pte_table->leafAt(idx);
-    pte_table->leaves[idx] = Leaf{value_page, perms};
-    if (inserted) {
-        pte_table->leafPresent[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+    Table* pte_table = descend(key_page);
+    if (pte_table->setLeaf(levelIndex(key_page, kLevels - 1),
+                           Leaf{value_page, perms}))
         ++mappings_;
-    }
 }
 
 bool
 HierarchicalPageTable::unmap(std::uint64_t key_page)
 {
-    Table* pte_table = descend(key_page, /*create=*/false);
+    Table* pte_table = findLeafTable(key_page);
     if (!pte_table)
         return false;
     unsigned idx = levelIndex(key_page, kLevels - 1);
     if (!pte_table->leafAt(idx))
         return false;
+    auto slot = static_cast<std::ptrdiff_t>(pte_table->rank(idx));
+    pte_table->leaves.erase(pte_table->leaves.begin() + slot);
     pte_table->leafPresent[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
     --mappings_;
     return true;
@@ -71,14 +77,13 @@ HierarchicalPageTable::unmap(std::uint64_t key_page)
 std::optional<HierarchicalPageTable::Leaf>
 HierarchicalPageTable::lookup(std::uint64_t key_page) const
 {
-    auto* self = const_cast<HierarchicalPageTable*>(this);
-    Table* pte_table = self->descend(key_page, /*create=*/false);
+    const Table* pte_table = findLeafTable(key_page);
     if (!pte_table)
         return std::nullopt;
     unsigned idx = levelIndex(key_page, kLevels - 1);
     if (!pte_table->leafAt(idx))
         return std::nullopt;
-    return pte_table->leaves[idx];
+    return pte_table->leaves[pte_table->rank(idx)];
 }
 
 HierarchicalPageTable::WalkResult
@@ -92,7 +97,7 @@ HierarchicalPageTable::walk(std::uint64_t key_page) const
             WalkStep{table->base + idx * kEntryBytes, level});
         if (level == kLevels - 1) {
             if (table->leafAt(idx))
-                result.leaf = table->leaves[idx];
+                result.leaf = table->leaves[table->rank(idx)];
             break;
         }
         if (!table->children || !table->children[idx])
@@ -115,6 +120,26 @@ HierarchicalPageTable::entryAddr(std::uint64_t key_page,
         table = table->children[idx].get();
     }
     return table->base + levelIndex(key_page, level) * kEntryBytes;
+}
+
+std::size_t
+HierarchicalPageTable::hostBytes() const
+{
+    std::size_t bytes = 0;
+    std::vector<const Table*> pending{root_.get()};
+    while (!pending.empty()) {
+        const Table* table = pending.back();
+        pending.pop_back();
+        bytes += sizeof(Table) + table->leaves.capacity() * sizeof(Leaf);
+        if (!table->children)
+            continue;
+        bytes += kEntries * sizeof(std::unique_ptr<Table>);
+        for (unsigned i = 0; i < kEntries; ++i) {
+            if (table->children[i])
+                pending.push_back(table->children[i].get());
+        }
+    }
+    return bytes;
 }
 
 } // namespace famsim

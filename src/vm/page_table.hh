@@ -19,10 +19,13 @@
 #define FAMSIM_VM_PAGE_TABLE_HH
 
 #include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <vector>
 
 namespace famsim {
 
@@ -173,6 +176,13 @@ class HierarchicalPageTable
     /** Number of leaf mappings currently present. */
     [[nodiscard]] std::size_t mappings() const { return mappings_; }
 
+    /**
+     * Host bytes held by the table: every table struct, every children
+     * array and every leaf vector's capacity. Deterministic for a given
+     * toolchain and mapping sequence (no allocator overhead counted).
+     */
+    [[nodiscard]] std::size_t hostBytes() const;
+
     /** Index into the level-@p level table for @p key_page. */
     [[nodiscard]] static unsigned
     levelIndex(std::uint64_t key_page, unsigned level)
@@ -196,19 +206,22 @@ class HierarchicalPageTable
 
   private:
     /**
-     * One table page. Children/leaves are direct-indexed arrays
-     * (allocated lazily, on the first child or leaf) instead of hash
-     * maps: a walk or descend is then three predictable indexed loads
-     * with no hashing, and teardown is linear. A leaf-level table
-     * costs ~8 KB, an intermediate ~4 KB — a few MB per simulated
-     * node even for the paper's most scattered workloads.
+     * One table page. Children are a direct-indexed array (allocated
+     * lazily, on the first child), so a descend is three predictable
+     * indexed loads with no hashing; an intermediate costs ~4 KB.
+     * Leaves are packed: only present leaves are stored, in index
+     * order, and an entry's slot is its rank — the number of present
+     * bits below its index. A full leaf table still costs 8 KB, but a
+     * lone leaf (the norm for the OS's scattered FAM-zone pages in the
+     * broker's tables) costs one 16-byte element instead of 8 KB, so a
+     * broker table holds ~1-1.5 MB per simulated node, not ~85 MB.
      */
     struct Table {
         std::uint64_t base = 0;
         /** Children for levels 0..2 (kEntries slots once allocated). */
         std::unique_ptr<std::unique_ptr<Table>[]> children;
-        /** Leaves for level 3 (kEntries slots once allocated). */
-        std::unique_ptr<Leaf[]> leaves;
+        /** Present leaves for level 3, in index order. */
+        std::vector<Leaf> leaves;
         /** Present bits for leaves. */
         std::array<std::uint64_t, kEntries / 64> leafPresent{};
 
@@ -217,9 +230,40 @@ class HierarchicalPageTable
         {
             return (leafPresent[idx >> 6] >> (idx & 63)) & 1;
         }
+
+        /** Slot of @p idx in leaves: present leaves below it. */
+        [[nodiscard]] std::size_t
+        rank(unsigned idx) const
+        {
+            unsigned word = idx >> 6;
+            std::uint64_t below = (std::uint64_t{1} << (idx & 63)) - 1;
+            auto r = static_cast<std::size_t>(
+                std::popcount(leafPresent[word] & below));
+            for (unsigned w = 0; w < word; ++w)
+                r += static_cast<std::size_t>(std::popcount(leafPresent[w]));
+            return r;
+        }
+
+        /** Install or overwrite leaf @p idx. @return true if new. */
+        bool
+        setLeaf(unsigned idx, Leaf leaf)
+        {
+            auto slot =
+                leaves.begin() + static_cast<std::ptrdiff_t>(rank(idx));
+            if (leafAt(idx)) {
+                *slot = leaf;
+                return false;
+            }
+            leaves.insert(slot, leaf);
+            leafPresent[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+            return true;
+        }
     };
 
-    Table* descend(std::uint64_t key_page, bool create);
+    /** The leaf (PTE) table covering @p key_page, creating the path. */
+    Table* descend(std::uint64_t key_page);
+    /** The leaf table covering @p key_page, or null; never creates. */
+    [[nodiscard]] Table* findLeafTable(std::uint64_t key_page) const;
 
     AllocFn alloc_;
     std::unique_ptr<Table> root_;
@@ -260,7 +304,7 @@ class HierarchicalPageTable::BulkMapper
         // the same 512-page range.
         std::uint64_t prefix = levelPrefix(key_page, kLevels - 2);
         if (!leafTable_ || prefix != cachedPrefix_) {
-            leafTable_ = table_.descend(key_page, /*create=*/false);
+            leafTable_ = table_.findLeafTable(key_page);
             cachedPrefix_ = prefix;
         }
         unsigned idx = levelIndex(key_page, kLevels - 1);
@@ -268,12 +312,8 @@ class HierarchicalPageTable::BulkMapper
             return false;
         std::uint64_t value = value_fn();
         if (!leafTable_)
-            leafTable_ = table_.descend(key_page, /*create=*/true);
-        if (!leafTable_->leaves)
-            leafTable_->leaves = std::make_unique<Leaf[]>(kEntries);
-        leafTable_->leaves[idx] = Leaf{value, perms};
-        leafTable_->leafPresent[idx >> 6] |= std::uint64_t{1}
-                                             << (idx & 63);
+            leafTable_ = table_.descend(key_page);
+        leafTable_->setLeaf(idx, Leaf{value, perms});
         ++table_.mappings_;
         return true;
     }

@@ -13,6 +13,8 @@
 
 #include "harness/figure_report.hh"
 #include "harness/runner.hh"
+#include "harness/scenario.hh"
+#include "harness/sweep.hh"
 
 namespace famsim {
 namespace {
@@ -219,6 +221,31 @@ TEST(Migration, ShootdownForcesRetranslation)
 
     auto report2 = system.broker().migrateJob(1, 0, /*logical=*/true);
     EXPECT_EQ(report2.acmWrites, 0u); // logical ids: no ACM rewrite
+}
+
+TEST(Footprint, FamTableHostBytesPerMappedPageStaySmall)
+{
+    // The node OS scatters FAM-zone pages across a 64 GiB zone, so
+    // nearly every page sits alone in its broker leaf table; a dense
+    // 512-slot leaf array would cost ~8 KiB per mapped page here.
+    // hostBytes() is deterministic, so this is an exact gate.
+    ScopedQuietLogs quiet;
+    const Scenario* points[] = {
+        &ScenarioRegistry::paper().byName("fig12_performance.mcf.deactn"),
+        &SweepRegistry::paperPoints().byName("fig16_num_nodes.n16"),
+    };
+    for (const Scenario* scenario : points) {
+        System system(scenario->config);
+        for (unsigned n = 0; n < scenario->config.nodes; ++n) {
+            const auto& table =
+                system.broker().famTableOf(static_cast<NodeId>(n));
+            ASSERT_GT(table.mappings(), 0u) << scenario->name;
+            double per_page = static_cast<double>(table.hostBytes()) /
+                              static_cast<double>(table.mappings());
+            EXPECT_LE(per_page, 256.0)
+                << scenario->name << " node " << n;
+        }
+    }
 }
 
 TEST(Harness, GeomeanAndConfigHelpers)

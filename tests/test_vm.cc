@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <vector>
 
+#include "sim/rng.hh"
 #include "test_util.hh"
 #include "vm/node_os.hh"
 #include "vm/page_table.hh"
@@ -113,6 +117,257 @@ TEST_F(PageTableTest, ManyMappingsRoundTrip)
         EXPECT_EQ(leaf->valuePage, i);
     }
 }
+
+TEST_F(PageTableTest, UnmapErasesLeafAndKeepsNeighbours)
+{
+    // Leaves are packed by rank: erasing one shifts every later slot
+    // of the same leaf table, and a remap must not resurrect the old
+    // value from behind the cleared present bit.
+    for (std::uint64_t k = 0x1000; k < 0x1004; ++k)
+        table_.map(k, k + 100, Perms{});
+    EXPECT_TRUE(table_.unmap(0x1001));
+    EXPECT_FALSE(table_.lookup(0x1001).has_value());
+    EXPECT_FALSE(table_.walk(0x1001).leaf.has_value());
+    EXPECT_EQ(table_.lookup(0x1000)->valuePage, 0x1000u + 100);
+    EXPECT_EQ(table_.lookup(0x1002)->valuePage, 0x1002u + 100);
+    EXPECT_EQ(table_.walk(0x1003).leaf->valuePage, 0x1003u + 100);
+
+    HierarchicalPageTable::BulkMapper mapper(table_);
+    EXPECT_TRUE(mapper.mapIfAbsent(0x1001, Perms{true, false, false},
+                                   [] { return std::uint64_t{7}; }));
+    auto leaf = table_.lookup(0x1001);
+    ASSERT_TRUE(leaf.has_value());
+    EXPECT_EQ(leaf->valuePage, 7u);
+    EXPECT_FALSE(leaf->perms.w);
+    EXPECT_EQ(table_.lookup(0x1002)->valuePage, 0x1002u + 100);
+    EXPECT_EQ(table_.mappings(), 4u);
+}
+
+TEST_F(PageTableTest, LoneLeafCostsOneElementNotATablePage)
+{
+    std::size_t empty = table_.hostBytes();
+    table_.map(0x1000, 1, Perms{});
+    std::size_t one = table_.hostBytes();
+    // Three new table structs, three children arrays (the root's
+    // included) and one packed leaf — no 512-slot leaf array.
+    EXPECT_LT(one - empty, 3 * HierarchicalPageTable::kEntries *
+                               sizeof(void*) + 1024);
+    for (std::uint64_t k = 0x1000; k < 0x1000 + 512; ++k)
+        table_.map(k, k, Perms{});
+    EXPECT_GE(table_.hostBytes() - one,
+              511 * sizeof(HierarchicalPageTable::Leaf));
+}
+
+// ----------------------------------------- page table vs reference model
+
+/** Key streams the two tables see in the simulator. */
+enum class KeyStream { Dense, Scatter, Uniform };
+
+const char*
+toString(KeyStream kind)
+{
+    switch (kind) {
+      case KeyStream::Dense: return "Dense";
+      case KeyStream::Scatter: return "Scatter";
+      default: return "Uniform";
+    }
+}
+
+/**
+ * Seeded random operation sequences against a std::map model. Table A
+ * takes every operation; table B is fed the same installs in the same
+ * order through the classic unbatched `if (!lookup) map` path, so its
+ * table-page allocation order is the one the goldens pin. Both tables
+ * draw values and table pages from one shared cursor each (as the
+ * broker does), which also pins BulkMapper's value-before-table order.
+ */
+class PageTableModelTest : public ::testing::TestWithParam<KeyStream>
+{
+  protected:
+    using Leaf = HierarchicalPageTable::Leaf;
+
+    /** The @p i-th key of the parameter's stream. */
+    std::uint64_t
+    streamKey(std::uint64_t i)
+    {
+        switch (GetParam()) {
+          case KeyStream::Dense:
+            return 0x40000 + i;
+          case KeyStream::Scatter:
+            // NodeOs's FAM-zone scatter over a 16M-page (64 GiB) zone.
+            return (1ull << 22) + (i * 1000003) % (1ull << 24);
+          default:
+            return rng_.below64(1ull << 36);
+        }
+    }
+
+    /** A key the model holds, or a fresh one if it holds none. */
+    std::uint64_t
+    liveKey()
+    {
+        if (live_.empty())
+            return streamKey(cursor_++);
+        return live_[rng_.below(static_cast<std::uint32_t>(live_.size()))];
+    }
+
+    /** Any key: live, previously unmapped, or never seen. */
+    std::uint64_t
+    anyKey()
+    {
+        switch (rng_.below(3)) {
+          case 0: return liveKey();
+          case 1:
+            if (!dead_.empty())
+                return dead_[rng_.below(
+                    static_cast<std::uint32_t>(dead_.size()))];
+            [[fallthrough]];
+          default: return streamKey(cursor_++);
+        }
+    }
+
+    Perms
+    randomPerms()
+    {
+        return Perms::decode2b(static_cast<std::uint8_t>(rng_.below(4)));
+    }
+
+    void
+    modelSet(std::uint64_t key, Leaf leaf)
+    {
+        if (model_.emplace(key, leaf).second)
+            live_.push_back(key);
+        else
+            model_[key] = leaf;
+    }
+
+    void
+    modelErase(std::uint64_t key)
+    {
+        model_.erase(key);
+        live_.erase(std::find(live_.begin(), live_.end(), key));
+        dead_.push_back(key);
+    }
+
+    /** A maps (key, leaf); B installs it through the classic path. */
+    void
+    mapBoth(std::uint64_t key, Leaf leaf)
+    {
+        a_.map(key, leaf.valuePage, leaf.perms);
+        b_.map(key, leaf.valuePage, leaf.perms);
+        modelSet(key, leaf);
+    }
+
+    void
+    expectMatchesModel(std::uint64_t key)
+    {
+        auto it = model_.find(key);
+        std::optional<Leaf> want;
+        if (it != model_.end())
+            want = it->second;
+        EXPECT_EQ(a_.lookup(key), want) << std::hex << key;
+        auto wa = a_.walk(key);
+        auto wb = b_.walk(key);
+        EXPECT_EQ(wa.leaf, want) << std::hex << key;
+        ASSERT_EQ(wa.steps.size(), wb.steps.size()) << std::hex << key;
+        for (std::size_t i = 0; i < wa.steps.size(); ++i) {
+            EXPECT_EQ(wa.steps[i].addr, wb.steps[i].addr);
+            EXPECT_EQ(wa.steps[i].level, wb.steps[i].level);
+            EXPECT_EQ(a_.entryAddr(key, wa.steps[i].level),
+                      std::optional<std::uint64_t>(wa.steps[i].addr));
+        }
+        for (unsigned level = 0; level < HierarchicalPageTable::kLevels;
+             ++level)
+            EXPECT_EQ(a_.entryAddr(key, level), b_.entryAddr(key, level));
+    }
+
+    Rng rng_{0x5eed};
+    std::uint64_t cursor_ = 0;
+    std::uint64_t nextA_ = 0;
+    std::uint64_t nextB_ = 0;
+    HierarchicalPageTable a_{[this] { return ++nextA_ * kPageSize; }};
+    HierarchicalPageTable b_{[this] { return ++nextB_ * kPageSize; }};
+    std::map<std::uint64_t, Leaf> model_;
+    std::vector<std::uint64_t> live_;
+    std::vector<std::uint64_t> dead_;
+};
+
+TEST_P(PageTableModelTest, RandomOpsMatchReferenceModel)
+{
+    for (std::uint64_t seed : {1, 2, 3}) {
+        rng_ = Rng(seed * 0x9e3779b97f4a7c15ULL + 1);
+        HierarchicalPageTable::BulkMapper mapper(a_);
+        for (int op = 0; op < 6000; ++op) {
+            switch (rng_.below(8)) {
+              case 0: // map a new key
+                mapBoth(streamKey(cursor_++),
+                        Leaf{rng_.below64(1ull << 40), randomPerms()});
+                break;
+              case 1: // remap a live key
+                mapBoth(liveKey(),
+                        Leaf{rng_.below64(1ull << 40), randomPerms()});
+                break;
+              case 2: { // unmap any key
+                std::uint64_t key = anyKey();
+                bool present = model_.count(key) != 0;
+                EXPECT_EQ(a_.unmap(key), present) << std::hex << key;
+                EXPECT_EQ(b_.unmap(key), present);
+                if (present)
+                    modelErase(key);
+                break;
+              }
+              case 3: { // unmap then remap: no stale leaf may survive
+                std::uint64_t key = liveKey();
+                if (model_.count(key)) {
+                    EXPECT_TRUE(a_.unmap(key));
+                    EXPECT_TRUE(b_.unmap(key));
+                    modelErase(key);
+                    expectMatchesModel(key);
+                    dead_.pop_back();
+                }
+                mapBoth(key, Leaf{rng_.below64(1ull << 40), randomPerms()});
+                break;
+              }
+              case 4: { // BulkMapper map-if-absent (A) vs classic (B)
+                std::uint64_t key = rng_.below(2) ? liveKey() : anyKey();
+                Perms perms = randomPerms();
+                bool absent = model_.count(key) == 0;
+                std::optional<std::uint64_t> value;
+                bool installed = mapper.mapIfAbsent(key, perms, [&] {
+                    value = ++nextA_ * kPageSize;
+                    return *value;
+                });
+                EXPECT_EQ(installed, absent) << std::hex << key;
+                EXPECT_EQ(value.has_value(), absent);
+                if (!b_.lookup(key))
+                    b_.map(key, ++nextB_ * kPageSize, perms);
+                if (installed)
+                    modelSet(key, Leaf{*value, perms});
+                break;
+              }
+              default: // lookup / walk / entryAddr of any key
+                expectMatchesModel(anyKey());
+                break;
+            }
+            ASSERT_EQ(a_.mappings(), model_.size()) << "op " << op;
+        }
+    }
+    for (const auto& [key, leaf] : model_)
+        expectMatchesModel(key);
+    for (std::uint64_t key : dead_)
+        expectMatchesModel(key);
+    EXPECT_EQ(a_.mappings(), model_.size());
+    EXPECT_EQ(b_.mappings(), model_.size());
+    EXPECT_EQ(a_.tablePages(), b_.tablePages());
+    EXPECT_EQ(nextA_, nextB_);
+}
+
+INSTANTIATE_TEST_SUITE_P(KeyStreams, PageTableModelTest,
+                         ::testing::Values(KeyStream::Dense,
+                                           KeyStream::Scatter,
+                                           KeyStream::Uniform),
+                         [](const auto& suite) {
+                             return std::string(toString(suite.param));
+                         });
 
 TEST(Perms, TwoBitEncodingRoundTrips)
 {
