@@ -2,35 +2,30 @@
  * @file
  * Wall-clock benchmark of the pooled sweep executor (the BENCH_sweep
  * trajectory): every paper sweep (Fig. 13-15 in full, Fig. 16 trimmed
- * to the paper's 1-8 node range — see benchSweeps) exported three
+ * to the paper's 1-8 node range — see benchSweeps) exported two
  * ways —
  *
  *   fresh_serial  the pre-executor path: one fresh System per point,
  *                 points run back to back (writeScenarioJson's
  *                 self-constructing overload);
- *   jobs1_reuse   the executor at one job: same serial order, but
- *                 compatible consecutive points reset-and-reuse one
- *                 System instead of reconstructing (prefaulted page
- *                 tables and FAM layout survive);
  *   pooled        the executor at --sweep-jobs workers (default
  *                 FAMSIM_SWEEP_JOBS, then 4).
  *
- * All three produce byte-identical JSON (asserted here); only the
- * wall clock differs. Like bench_throughput the values are
- * host-dependent, so CI gates on the *speedup ratios* against a
- * checked-in baseline (bench/baseline_sweep.json) rather than raw
- * seconds:
+ * Both produce byte-identical JSON (asserted here); only the wall
+ * clock differs. Like bench_throughput the values are host-dependent,
+ * so CI gates on the *speedup ratio* against a checked-in baseline
+ * (bench/baseline_sweep.json) rather than raw seconds:
  *
  *   bench_sweep_wall [--json] [--out path] [--sweep-jobs n]
  *                    [--baseline path]
  *
- * With --baseline the run compares the total row's reuse_speedup and
- * pooled_speedup against the same row in a previous export and exits
- * 3 if either falls below baseline * (1 - FAMSIM_BENCH_TOLERANCE)
- * (default 0.25). The baseline's total-row ratios are floors rounded
- * down from a 4-core recording (pooled 1.5, reuse 1.0): a 4-job pool
- * that stops beating serial by a clear margin trips the gate, and a
- * runner with fewer cores than jobs should not be gated at all.
+ * With --baseline the run compares the total row's pooled_speedup
+ * against the same row in a previous export and exits 3 if it falls
+ * below baseline * (1 - FAMSIM_BENCH_TOLERANCE) (default 0.25). The
+ * baseline's total-row ratio is a floor rounded down from a 4-core
+ * recording (1.5): a 4-job pool that stops beating serial by a clear
+ * margin trips the gate, and a runner with fewer cores than jobs
+ * should not be gated at all.
  */
 
 #include <cstdlib>
@@ -162,46 +157,37 @@ main(int argc, char** argv)
     ScopedQuietLogs quiet;
     FigureReport report(
         "BENCH_sweep",
-        "Sweep-suite wall clock: fresh-serial vs executor (reuse, "
-        "pooled)",
-        "sweep",
-        {"fresh_serial_s", "jobs1_reuse_s", "pooled_s", "reuse_speedup",
-         "pooled_speedup"});
+        "Sweep-suite wall clock: fresh-serial vs pooled executor",
+        "sweep", {"fresh_serial_s", "pooled_s", "pooled_speedup"});
 
-    double total_fresh = 0.0, total_jobs1 = 0.0, total_pooled = 0.0;
+    double total_fresh = 0.0, total_pooled = 0.0;
     for (const Sweep& sweep : benchSweeps()) {
         const std::string& name = sweep.name;
         std::cerr << "sweep_wall: " << name << "...\n";
-        std::string fresh_json, jobs1_json, pooled_json;
+        std::string fresh_json, pooled_json;
         double fresh_s = bestOfSeconds(
             1, [&] { fresh_json = freshSerialSweepJson(sweep); });
-        double jobs1_s = bestOfSeconds(
-            1, [&] { jobs1_json = runSweepJson(sweep, 0, 1); });
         double pooled_s = bestOfSeconds(1, [&] {
             pooled_json = runSweepJson(sweep, 0, pooled_jobs);
         });
-        // The speedups below are only meaningful if all three modes
-        // did the same work; byte-identity is the executor's contract.
-        if (jobs1_json != fresh_json || pooled_json != fresh_json) {
+        // The speedup below is only meaningful if both modes did the
+        // same work; byte-identity is the executor's contract.
+        if (pooled_json != fresh_json) {
             std::cerr << "bench_sweep_wall: export mismatch on " << name
                       << " — executor output is not byte-identical\n";
             return 3;
         }
         g_sink = g_sink + fresh_json.size();
         total_fresh += fresh_s;
-        total_jobs1 += jobs1_s;
         total_pooled += pooled_s;
-        report.addRow(name, {fresh_s, jobs1_s, pooled_s,
-                             fresh_s / jobs1_s, fresh_s / pooled_s});
+        report.addRow(name, {fresh_s, pooled_s, fresh_s / pooled_s});
     }
-    report.addRow("total",
-                  {total_fresh, total_jobs1, total_pooled,
-                   total_fresh / total_jobs1, total_fresh / total_pooled});
+    report.addRow("total", {total_fresh, total_pooled,
+                            total_fresh / total_pooled});
     report.addSummary("sweep_jobs", static_cast<double>(pooled_jobs));
-    report.addSummary("reuse_speedup", total_fresh / total_jobs1);
     report.addSummary("pooled_speedup", total_fresh / total_pooled);
     report.addNote("wall clock is host-dependent; CI gates the total "
-                   "row's speedup ratios against bench/"
+                   "row's speedup ratio against bench/"
                    "baseline_sweep.json, not the raw seconds");
 
     int rc = emitReport(report, options);
@@ -227,26 +213,21 @@ main(int argc, char** argv)
     report.writeJson(current);
     std::string cur_json = current.str();
 
-    bool failed = false;
     std::vector<double> base, cur;
     if (!baselineValues(base_json, "total", base) ||
-        !baselineValues(cur_json, "total", cur) || base.size() < 5 ||
-        cur.size() < 5) {
-        std::cerr << "bench_sweep_wall: baseline lacks a total row — "
-                     "skipping gate\n";
+        !baselineValues(cur_json, "total", cur) || base.size() != 3 ||
+        cur.size() != 3) {
+        std::cerr << "bench_sweep_wall: baseline lacks a 3-column total "
+                     "row — skipping gate\n";
         return 0;
     }
-    const char* kRatioName[2] = {"reuse_speedup", "pooled_speedup"};
-    for (int r = 0; r < 2; ++r) {
-        double base_ratio = base[3 + r], cur_ratio = cur[3 + r];
-        std::cerr << "gate " << kRatioName[r] << ": " << cur_ratio
-                  << " vs baseline " << base_ratio << "\n";
-        if (cur_ratio < base_ratio * (1.0 - tolerance)) {
-            std::cerr << "bench_sweep_wall: REGRESSION on "
-                      << kRatioName[r] << " (allowed -"
-                      << tolerance * 100 << "%)\n";
-            failed = true;
-        }
+    const double base_ratio = base[2], cur_ratio = cur[2];
+    std::cerr << "gate pooled_speedup: " << cur_ratio << " vs baseline "
+              << base_ratio << "\n";
+    if (cur_ratio < base_ratio * (1.0 - tolerance)) {
+        std::cerr << "bench_sweep_wall: REGRESSION on pooled_speedup "
+                     "(allowed -" << tolerance * 100 << "%)\n";
+        return 3;
     }
-    return failed ? 3 : 0;
+    return 0;
 }

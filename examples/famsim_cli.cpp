@@ -17,7 +17,8 @@
  *     --stu-assoc <n>      STU associativity (default 8)
  *     --acm-bits <n>       ACM width: 8|16|32 (default 16)
  *     --pairs <n>          DeACT-N (tag,ACM) pairs per way (default 2)
- *     --fabric-ns <n>      one-way fabric latency in ns (default 450)
+ *     --fabric-ns <n>      one-way fabric latency in ns, >= 1 (default
+ *                          450)
  *     --seed <n>           RNG seed (default 1)
  *     --warmup <f>         warmup fraction (default 0.3)
  *     --jobs <n>           tenant jobs interleaved on every core
@@ -290,8 +291,12 @@ main(int argc, char** argv)
                 uintArg("--acm-bits", kUnsignedMax));
         else if (arg == "--pairs")
             pairs = static_cast<unsigned>(uintArg("--pairs", kUnsignedMax));
-        else if (arg == "--fabric-ns")
+        else if (arg == "--fabric-ns") {
             fabric_ns = uintArg("--fabric-ns");
+            if (fabric_ns == 0)
+                badValue(argv[0], "--fabric-ns", "0",
+                         "a positive latency in ns");
+        }
         else if (arg == "--seed") seed = uintArg("--seed");
         else if (arg == "--warmup")
             warmup = parseDouble(argv[0], "--warmup", need("--warmup"),

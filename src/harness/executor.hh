@@ -11,15 +11,10 @@
  * — the caller's output is byte-identical for every job count,
  * bounded in wall clock by the slowest single point.
  *
- * Each worker additionally keeps one reusable System: consecutive
- * points that share the expensive construction state (topology, seed,
- * profile, OS/FAM geometry — see System::reusableAcross) are run via
- * System::reset() instead of a full reconstruction, which skips the
- * page-table prefault (cheap since page-table leaves are packed; see
- * DESIGN.md "Sweep executor" for what reuse still buys). Reuse is a
- * pure wall-clock optimization: reset() is pinned to produce
- * bit-identical statistics to a fresh build (tests/test_executor.cc),
- * so slot contents do not depend on which worker ran which point.
+ * Every point builds its own System inside its task and drops it when
+ * the task ends: construction costs a few milliseconds against tens
+ * of milliseconds to run and export a point (DESIGN.md "Sweep
+ * executor"), so nothing is carried from one point to the next.
  */
 
 #ifndef FAMSIM_HARNESS_EXECUTOR_HH
@@ -29,7 +24,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,7 +41,7 @@ class SweepExecutor
      * @param jobs total workers including the caller (>= 1; clamped
      *        up from 0). jobs=1 spawns no threads and visits points in
      *        slot order on the calling thread — the same code path as
-     *        jobs=N minus the concurrency, and still System-reusing.
+     *        jobs=N minus the concurrency.
      */
     explicit SweepExecutor(unsigned jobs = 1);
 
@@ -70,8 +64,7 @@ class SweepExecutor
     /**
      * Render every scenario's full JSON export — byte-for-byte what
      * writeScenarioJson(os, points[i], threads) writes (no trailing
-     * newline) — in slot order, reusing each worker's System across
-     * compatible points.
+     * newline) — in slot order.
      */
     [[nodiscard]] std::vector<std::string>
     runScenarioJsons(const std::vector<Scenario>& points,
@@ -79,28 +72,29 @@ class SweepExecutor
 
     /**
      * Build, run and summarize every configuration (the bench_fig13-16
-     * fan-out), results in slot order, with the same System reuse.
+     * fan-out), results in slot order.
      */
     [[nodiscard]] std::vector<RunResult>
     runResults(const std::vector<SystemConfig>& configs,
                unsigned threads = 0);
 
-    /** Systems constructed from scratch across this executor's life. */
+    /** Systems built across this executor's life: one per point run. */
     [[nodiscard]] std::uint64_t systemsBuilt() const
     {
         return systemsBuilt_.load(std::memory_order_relaxed);
     }
-    /** Points served by System::reset() of a cached System. */
-    [[nodiscard]] std::uint64_t systemsReused() const
-    {
-        return systemsReused_.load(std::memory_order_relaxed);
-    }
+    /**
+     * Points served by an already-built System: always 0, since every
+     * point builds its own. Kept because perfbench reports the
+     * built/reused pair.
+     */
+    [[nodiscard]] std::uint64_t systemsReused() const { return 0; }
 
     /**
      * Host wall-clock seconds of each point of the last
-     * runScenarioJsons/runResults call, in slot order (build/reset +
-     * run + export). Host timings: report them (stderr, profiles) but
-     * never put them in golden-compared output.
+     * runScenarioJsons/runResults call, in slot order (build + run +
+     * export + teardown). Host timings: report them (stderr, profiles)
+     * but never put them in golden-compared output.
      */
     [[nodiscard]] const std::vector<double>& pointSeconds() const
     {
@@ -108,17 +102,8 @@ class SweepExecutor
     }
 
   private:
-    /**
-     * The cached System of @p worker, reset or rebuilt for @p config
-     * and ready to run. Only ever called from that worker's thread.
-     */
-    System& systemFor(std::size_t worker, const SystemConfig& config);
-
     WorkerPool pool_;
-    /** One reusable System slot per worker, caller = slot 0. */
-    std::vector<std::unique_ptr<System>> workerSystems_;
     std::atomic<std::uint64_t> systemsBuilt_{0};
-    std::atomic<std::uint64_t> systemsReused_{0};
     /** Per-point wall seconds of the last batch (slot-ordered; each
      *  task writes only its own slot, so no synchronization needed). */
     std::vector<double> pointSeconds_;

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
-#include <future>
-#include <map>
-#include <mutex>
 #include <sstream>
 
 #include <unistd.h>
@@ -331,85 +328,11 @@ writeJobArray(std::ostream& os, const std::vector<std::uint64_t>& values,
     os << "]";
 }
 
-/** The solo (single-tenant) rerun's headline figures, cached. */
+/** The solo (single-tenant) rerun's headline figures. */
 struct SoloBaseline {
     double ops = 0.0;
     double ticks = 0.0;
 };
-
-/**
- * Deterministic fingerprint of everything that decides a run's
- * statistics: every configuration field plus the kernel selection.
- * Two configs with equal fingerprints produce identical runs, so the
- * solo-baseline cache may key on it. Configs carrying a workload
- * factory are never fingerprinted (functions cannot be compared).
- */
-std::string
-soloCacheKey(const SystemConfig& c, unsigned threads)
-{
-    std::ostringstream os;
-    const char sep = '|';
-    os << static_cast<int>(c.arch) << sep << c.nodes << sep
-       << c.coresPerNode << sep << c.seed << sep;
-    os << c.core.period << sep << c.core.issueWidth << sep
-       << c.core.maxOutstanding << sep << c.core.instructionLimit << sep
-       << c.core.batchSize << sep;
-    os << c.tlb.l1Entries << sep << c.tlb.l2Entries << sep
-       << c.tlb.l2Ways << sep << c.tlb.l1Latency << sep
-       << c.tlb.l2Latency << sep;
-    for (const CacheParams* cache : {&c.l1, &c.l2, &c.l3}) {
-        os << cache->sizeBytes << sep << cache->assoc << sep
-           << cache->latency << sep << static_cast<int>(cache->policy)
-           << sep;
-    }
-    os << c.ptwCacheEntries << sep;
-    os << c.os.localBytes << sep << c.os.reservedLocalBytes << sep
-       << c.os.famZoneBytes << sep << c.os.localFraction << sep
-       << c.os.faultLatency << sep << c.os.scatterFamZone << sep;
-    for (const BankedMemoryParams* mem : {&c.dram, &c.fam.nvm}) {
-        os << mem->banks << sep << mem->readLatency << sep
-           << mem->writeLatency << sep << mem->frontendLatency << sep
-           << mem->maxOutstanding << sep;
-    }
-    os << c.fam.capacityBytes << sep << c.fam.modules << sep
-       << c.fam.interleaveBytes << sep << c.fam.jobs << sep;
-    os << c.fabric.latency << sep << c.fabric.serialization << sep;
-    os << static_cast<int>(c.stu.org) << sep << c.stu.entries << sep
-       << c.stu.assoc << sep << c.stu.acmBits << sep
-       << c.stu.pairsPerWay << sep << c.stu.lookupLatency << sep
-       << c.stu.verifyLatency << sep << c.stu.ptwCacheEntries << sep
-       << c.stu.bitmapCacheEntries << sep << c.stu.nodeLinkLatency << sep
-       << c.stu.maxOutstanding << sep << c.stu.jobs << sep;
-    os << c.translator.cacheBytes << sep << c.translator.waysPerLine
-       << sep << c.translator.tagMatchLatency << sep
-       << c.translator.maxOutstanding << sep
-       << c.translator.dramCacheBase << sep;
-    os << c.broker.serviceLatency << sep << c.broker.exposedRttLatency
-       << sep << c.broker.scatterAllocation << sep
-       << c.broker.sharedReserveBytes << sep << c.broker.jobs << sep;
-    // The profile's name/suite strings could contain the separator;
-    // length-prefix them so the key stays injective.
-    os << c.profile.name.size() << sep << c.profile.name << sep
-       << c.profile.suite.size() << sep << c.profile.suite << sep
-       << c.profile.memOpFraction << sep << c.profile.footprintBytes
-       << sep << c.profile.hot1Pages << sep << c.profile.hot1Prob << sep
-       << c.profile.hot2Pages << sep << c.profile.hot2Prob << sep
-       << c.profile.seqRunLen << sep << c.profile.seqPageProb << sep
-       << c.profile.vaScatterFactor << sep << c.profile.reuseProb << sep
-       << c.profile.writeFraction << sep << c.profile.blockingFraction
-       << sep << c.profile.paperMpki << sep << c.profile.atSensitive
-       << sep;
-    os << c.tenancy.jobs << sep << c.tenancy.zipfSkew << sep
-       << c.tenancy.churnMeanOps << sep;
-    os << c.migrations.size() << sep;
-    for (const MigrationEvent& ev : c.migrations) {
-        os << ev.atInstruction << sep << ev.from << sep << ev.to << sep
-           << ev.useLogicalIds << sep;
-    }
-    os << c.prefault << sep << c.warmupFraction << sep
-       << c.observability << sep << threads;
-    return os.str();
-}
 
 SoloBaseline
 computeSoloBaseline(const SystemConfig& solo_config, unsigned threads)
@@ -420,49 +343,6 @@ computeSoloBaseline(const SystemConfig& solo_config, unsigned threads)
     out.ops = solo.sim().stats().sumMatching(".mem_ops");
     out.ticks = static_cast<double>(solo.elapsedTicks());
     return out;
-}
-
-/**
- * The solo baseline for @p solo_config at @p threads, computed at most
- * once per process: the three multi-tenant paper scenarios share one
- * base configuration, so without the cache every export (and, under
- * the sweep executor, every concurrently exported point) reran the
- * same single-tenant simulation. The future-based slot makes the
- * computation exactly-once even when pooled workers race for the same
- * key: the first claims it, the rest block on its result.
- */
-SoloBaseline
-soloBaselineFor(const SystemConfig& solo_config, unsigned threads)
-{
-    if (solo_config.workloadFactory)
-        return computeSoloBaseline(solo_config, threads);
-
-    static std::mutex mutex;
-    static std::map<std::string, std::shared_future<SoloBaseline>> cache;
-
-    const std::string key = soloCacheKey(solo_config, threads);
-    std::promise<SoloBaseline> promise;
-    std::shared_future<SoloBaseline> future;
-    bool owner = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        auto it = cache.find(key);
-        if (it == cache.end()) {
-            future = promise.get_future().share();
-            cache.emplace(key, future);
-            owner = true;
-        } else {
-            future = it->second;
-        }
-    }
-    if (owner) {
-        try {
-            promise.set_value(computeSoloBaseline(solo_config, threads));
-        } catch (...) {
-            promise.set_exception(std::current_exception());
-        }
-    }
-    return future.get();
 }
 
 /**
@@ -510,7 +390,7 @@ writeJobFairness(std::ostream& os, const Scenario& scenario,
     // is what a perfectly isolated tenant would achieve.
     SystemConfig solo_config = scenario.config;
     solo_config.tenancy = TenancyParams{};
-    const SoloBaseline solo = soloBaselineFor(solo_config, threads);
+    const SoloBaseline solo = computeSoloBaseline(solo_config, threads);
     const double solo_ops = solo.ops;
     const double solo_ticks = solo.ticks;
     const double fair_share =

@@ -103,10 +103,10 @@ void writeScenarioJson(std::ostream& os, const Scenario& scenario,
 
 /**
  * writeScenarioJson against a caller-provided System: @p system must
- * have been constructed (or System::reset) from scenario.config and
- * not yet run — this runs it and writes the export. The sweep
- * executor's System-reuse path enters here; output is byte-identical
- * to the self-constructing overload.
+ * have been constructed from scenario.config and not yet run — this
+ * runs it and writes the export. Lets a caller time construction
+ * apart from the run; output is byte-identical to the
+ * self-constructing overload.
  */
 void writeScenarioJson(std::ostream& os, const Scenario& scenario,
                        System& system, unsigned threads);

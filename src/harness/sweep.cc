@@ -322,11 +322,10 @@ writeSweepJson(std::ostream& os, const Sweep& sweep, unsigned threads,
     }
     os << "]";
 
-    // Run every point through the executor (jobs workers, System
-    // reuse across compatible points), then emit the collected
-    // exports in axis order — completion order never shows in the
-    // output, so the bytes match the old point-at-a-time serial
-    // export for every job count.
+    // Run every point through the executor (jobs workers, one System
+    // per point), then emit the collected exports in axis order —
+    // completion order never shows in the output, so the bytes match
+    // the old point-at-a-time serial export for every job count.
     SweepExecutor executor(jobs);
     const std::vector<std::string> exports =
         executor.runScenarioJsons(sweep.expand(), threads);

@@ -112,12 +112,11 @@ class SweepRegistry
 
 /**
  * Core of runSweepJson: writes the export directly to @p os. Every
- * point runs through the SweepExecutor (even jobs=1, so consecutive
- * compatible points reuse one System instead of reconstructing); the
- * completed point exports are then emitted in axis order through an
- * indenting filter, regardless of completion order. Memory is O(sum
- * of point exports) — the price of running points concurrently.
- * Byte-identical to runSweepJson(sweep, threads, jobs).
+ * point runs through the SweepExecutor (even jobs=1); the completed
+ * point exports are then emitted in axis order through an indenting
+ * filter, regardless of completion order. Memory is O(sum of point
+ * exports) — the price of running points concurrently. Byte-identical
+ * to runSweepJson(sweep, threads, jobs).
  */
 void writeSweepJson(std::ostream& os, const Sweep& sweep,
                     unsigned threads = 0, unsigned jobs = 1);

@@ -45,30 +45,9 @@ class EventQueue
     ~EventQueue() { destroyPending(); }
 
     // Slots hold type-erased callables in raw storage; copying them
-    // bitwise would be wrong, so the queue is move-only. Moving steals
-    // the containers wholesale, so no callable is moved element-wise.
+    // bitwise would be wrong, and nothing needs to move a queue.
     EventQueue(const EventQueue&) = delete;
     EventQueue& operator=(const EventQueue&) = delete;
-    EventQueue(EventQueue&&) = default;
-
-    EventQueue&
-    operator=(EventQueue&& other) noexcept
-    {
-        if (this != &other) {
-            destroyPending(); // don't leak this queue's pending callables
-            heap_ = std::move(other.heap_);
-            slots_ = std::move(other.slots_);
-            freeList_ = std::move(other.freeList_);
-            now_ = other.now_;
-            seq_ = other.seq_;
-            executed_ = other.executed_;
-            id_ = other.id_;
-#if FAMSIM_CHECK
-            checkOwner_ = other.checkOwner_;
-#endif
-        }
-        return *this;
-    }
 
     /**
      * Schedule @p cb to run at absolute tick @p when.

@@ -33,6 +33,16 @@ for bad in garbage 4x -3 0 1025; do
         fail "--sweep-jobs $bad error does not name the flag"
 done
 
+# --- zero fabric latency is a usage error, not a serial fallback -----
+if "$cli" --instr 2000 --fabric-ns 0 > /dev/null 2> "$work/err.txt"; then
+    fail "--fabric-ns 0 was accepted"
+else
+    status=$?
+    [ "$status" -eq 2 ] || fail "--fabric-ns 0 exited $status, expected 2"
+fi
+grep -q "fabric-ns" "$work/err.txt" ||
+    fail "--fabric-ns 0 error does not name the flag"
+
 # --- --sweep-jobs without --sweep warns but still runs --------------
 "$cli" --bench mcf --instr 2000 --sweep-jobs 2 \
     > /dev/null 2> "$work/warn.txt" ||

@@ -118,10 +118,9 @@ INSTANTIATE_TEST_SUITE_P(Sweeps, ScenarioGolden,
  * SweepExecutor in one process (FAMSIM_SWEEP_JOBS workers, default 2).
  * The per-scenario TEST_P cases above each run in their own process,
  * so only this test can catch cross-point interference: worker-pooled
- * scenarios sharing the solo-fairness cache, reused Systems, or the
- * process-wide logging state must still export the exact golden
- * bytes. Skipped in FAMSIM_UPDATE_GOLDEN runs — the serial cases own
- * regeneration.
+ * scenarios sharing thread-local packet pools or the process-wide
+ * logging state must still export the exact golden bytes. Skipped in
+ * FAMSIM_UPDATE_GOLDEN runs — the serial cases own regeneration.
  */
 TEST(PooledGoldenRunner, WholeSuiteMatchesGoldensViaExecutor)
 {

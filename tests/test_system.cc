@@ -170,6 +170,20 @@ TEST(SystemInvariants, StatsResetMakesWindowConsistent)
               0.6 * static_cast<double>(config.core.instructionLimit));
 }
 
+TEST(SystemConfig, RejectsZeroLookahead)
+{
+    // fabric.latency and broker.serviceLatency are the parallel
+    // kernel's lookahead floors; zero is a configuration error, for
+    // either kernel, caught before any component is built.
+    ScopedThrowOnError guard;
+    SystemConfig fabric = smallConfig(ArchKind::DeactN);
+    fabric.fabric.latency = 0;
+    EXPECT_THROW(System{fabric}, SimError);
+    SystemConfig broker = smallConfig(ArchKind::DeactN);
+    broker.broker.serviceLatency = 0;
+    EXPECT_THROW(System{broker}, SimError);
+}
+
 TEST(MultiNode, TwoNodesShareFabricAndFam)
 {
     ScopedQuietLogs quiet;
