@@ -19,11 +19,13 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "arch/system.hh"
+#include "golden.hh"
 #include "harness/runner.hh"
 #include "harness/scenario.hh"
 #include "harness/sweep.hh"
@@ -102,16 +104,40 @@ INSTANTIATE_TEST_SUITE_P(
                     std::string("fig16_num_nodes.n64")),
     testId);
 
-/** Runtime system-level faults (prefault off) take the barrier-op
- *  path through the broker; it must be just as deterministic. */
-TEST(ParallelDeterminismExtra, RuntimeBrokerFaultsAreDeterministic)
+/** Two mcf nodes with prefault off: runtime system-level faults. */
+SystemConfig
+runtimeFaultConfig()
 {
     SystemConfig config =
         makeConfig(profiles::byName("mcf"), ArchKind::DeactN, 4000);
     config.nodes = 2;
     config.seed = 7;
     config.prefault = false;
+    return config;
+}
 
+/** Runtime faults plus tenant churn and two broker migrations. */
+SystemConfig
+migrationUnderLoadConfig()
+{
+    SystemConfig config =
+        makeConfig(profiles::byName("mcf"), ArchKind::DeactN, 8000);
+    config.nodes = 2;
+    config.seed = 7;
+    config.prefault = false;
+    config.tenancy.jobs = 3;
+    config.tenancy.zipfSkew = 0.6;
+    config.tenancy.churnMeanOps = 1500;
+    config.migrations.push_back({3000, 0, 1, /*useLogicalIds=*/true});
+    config.migrations.push_back({5000, 1, 0, /*useLogicalIds=*/false});
+    return config;
+}
+
+/** Runtime system-level faults (prefault off) take the barrier-op
+ *  path through the broker; it must be just as deterministic. */
+TEST(ParallelDeterminismExtra, RuntimeBrokerFaultsAreDeterministic)
+{
+    const SystemConfig config = runtimeFaultConfig();
     auto stats_json = [&](unsigned threads) {
         System system(config);
         system.run(threads);
@@ -132,17 +158,7 @@ TEST(ParallelDeterminismExtra, RuntimeBrokerFaultsAreDeterministic)
  */
 TEST(ParallelDeterminismExtra, MigrationUnderLoadIsDeterministic)
 {
-    SystemConfig config =
-        makeConfig(profiles::byName("mcf"), ArchKind::DeactN, 8000);
-    config.nodes = 2;
-    config.seed = 7;
-    config.prefault = false;
-    config.tenancy.jobs = 3;
-    config.tenancy.zipfSkew = 0.6;
-    config.tenancy.churnMeanOps = 1500;
-    config.migrations.push_back({3000, 0, 1, /*useLogicalIds=*/true});
-    config.migrations.push_back({5000, 1, 0, /*useLogicalIds=*/false});
-
+    const SystemConfig config = migrationUnderLoadConfig();
     auto stats_json = [&](unsigned threads) {
         System system(config);
         system.run(threads);
@@ -191,6 +207,68 @@ TEST(ParallelDeterminismExtra, TraceReplayIsThreadCountInvariant)
               replayScenarioJson(scenario, dir, wideThreads()));
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);
+}
+
+// ----------------------------------------------- parallel goldens
+
+/**
+ * Compare @p actual with tests/golden/parallel.<name>.json, or rewrite
+ * the file under FAMSIM_UPDATE_GOLDEN.
+ */
+void
+expectParallelGolden(const std::string& name, const std::string& actual)
+{
+    const std::string path = test::goldenPath("parallel." + name);
+    if (test::updateRequested()) {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        ASSERT_TRUE(out) << "cannot write golden " << path;
+        out << actual;
+        GTEST_SKIP() << "golden updated: " << path;
+    }
+    const std::string expected = test::readFile(path);
+    ASSERT_FALSE(expected.empty())
+        << "missing golden " << path
+        << " (regenerate with FAMSIM_UPDATE_GOLDEN=1)";
+    EXPECT_EQ(expected, actual)
+        << "the partitioned kernel's schedule changed for '" << name
+        << "'; if intentional, regenerate with FAMSIM_UPDATE_GOLDEN=1";
+}
+
+/** Stats JSON of one System run on the partitioned kernel. */
+std::string
+parallelStatsJson(const SystemConfig& config, unsigned threads)
+{
+    System system(config);
+    system.run(threads);
+    return system.sim().stats().jsonString();
+}
+
+/*
+ * The partitioned kernel's own schedule, pinned at two threads. The
+ * serial goldens never run it and the 1-vs-N matrix compares thread
+ * counts within one build, so only these files notice a kernel change
+ * that reorders a same-tick fabric delivery against a barrier op's
+ * events: fig16 n4 carries fabric contention, the other two runtime
+ * broker faults and migrations under load.
+ */
+TEST(ParallelGolden, Fig16FourNodes)
+{
+    expectParallelGolden(
+        "fig16_num_nodes.n4",
+        runScenarioJson(
+            SweepRegistry::paperPoints().byName("fig16_num_nodes.n4"), 2));
+}
+
+TEST(ParallelGolden, RuntimeBrokerFaults)
+{
+    expectParallelGolden("runtime_faults",
+                         parallelStatsJson(runtimeFaultConfig(), 2));
+}
+
+TEST(ParallelGolden, MigrationUnderLoad)
+{
+    expectParallelGolden("migration_under_load",
+                         parallelStatsJson(migrationUnderLoadConfig(), 2));
 }
 
 // ------------------------------------------------ mailbox merge order

@@ -15,46 +15,22 @@
 #include <cstdlib>
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "golden.hh"
 #include "harness/executor.hh"
 #include "harness/runner.hh"
 #include "harness/scenario.hh"
 #include "harness/sweep.hh"
 #include "sim/logging.hh"
 
-#ifndef FAMSIM_GOLDEN_DIR
-#define FAMSIM_GOLDEN_DIR "tests/golden"
-#endif
-
 namespace famsim {
 namespace {
 
-std::string
-goldenPath(const std::string& scenario_name)
-{
-    return std::string(FAMSIM_GOLDEN_DIR) + "/" + scenario_name + ".json";
-}
-
-std::string
-readFile(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return {};
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
-
-bool
-updateRequested()
-{
-    const char* env = std::getenv("FAMSIM_UPDATE_GOLDEN");
-    return env != nullptr && *env != '\0' && std::string(env) != "0";
-}
+using test::goldenPath;
+using test::readFile;
+using test::updateRequested;
 
 /** Headline scenarios and sweep points share one golden machinery. */
 const Scenario&
