@@ -4,8 +4,11 @@
  * BENCH_hotpath trajectory): SetAssocCache lookups/inserts per
  * replacement policy, StreamGen op generation, EventQueue scheduling
  * churn, raw RNG draws, the end-to-end fig12 performance-scenario
- * wall clock, and System construction time and RSS growth at 1/16/64
- * nodes (construct_*_fig16n* summaries, reported only). Unlike the
+ * wall clock, the parallel kernel against the serial one on the fig16
+ * 16/32/64-node points and the one-node fig12 base point
+ * (speedup_parallel_* summaries, reported only), and System
+ * construction time and RSS growth at 1/16/64 nodes
+ * (construct_*_fig16n* summaries, reported only). Unlike the
  * bench_fig* binaries this measures *host* speed (ns/op, Mops/s), so
  * the values vary by machine; each row also carries rel_cost — its
  * cost normalized to a raw PCG32 draw on the same host — which is
@@ -163,27 +166,27 @@ timeFig12()
 }
 
 /**
- * Wall clock of one fig16 scaling point (16/32/64 nodes — the sharded
- * parallel kernel's acceptance anchors) under one execution kernel.
- * threads = 0 is the serial reference; >= 1 the conservative-window
- * kernel. Parallel runs also report the window (= barrier round)
- * count and how many of those windows the adaptive horizon widened —
- * the cadence data behind the 64-node barrier question.
+ * Wall clock of one scenario under one execution kernel: the fig16
+ * scaling points (16/32/64 nodes — the sharded parallel kernel's
+ * acceptance anchors) and the one-node fig12 base point (where
+ * per-window overhead shows most). threads = 0 is the serial
+ * reference; >= 1 the conservative-window kernel. Parallel runs also
+ * report the window (= barrier round) count and how many of those
+ * windows the adaptive horizon widened — the cadence data behind the
+ * 64-node barrier question.
  */
-struct Fig16Run {
+struct KernelRun {
     double seconds = 0.0;
     std::uint64_t windows = 0;
     std::uint64_t widened = 0;
 };
 
-Fig16Run
-timeFig16(const std::string& point, unsigned threads, int reps,
-          Profiler* prof = nullptr)
+KernelRun
+timeKernel(const Scenario& scenario, unsigned threads, int reps,
+           Profiler* prof = nullptr)
 {
-    const Scenario& scenario =
-        SweepRegistry::paperPoints().byName(point);
     ScopedQuietLogs quiet;
-    Fig16Run run;
+    KernelRun run;
     run.seconds = bestOfSeconds(reps, [&] {
         System system(scenario.config);
         if (prof)
@@ -334,18 +337,20 @@ main(int argc, char** argv)
     // headline; like the wall-clock rows they depend on the host's
     // core count (~1x on a single-core runner), so they are reported,
     // not gated.
+    const auto& points = SweepRegistry::paperPoints();
+    const Scenario& n16 = points.byName("fig16_num_nodes.n16");
     const std::uint64_t fig16_ops = 16 * 4 * 60000;
-    double psim_serial_s = timeFig16("fig16_num_nodes.n16", 0, 2).seconds;
+    double psim_serial_s = timeKernel(n16, 0, 2).seconds;
     add("fig16n16.serial", psim_serial_s, fig16_ops);
-    Fig16Run psim_t[3];
+    KernelRun psim_t[3];
     const unsigned kWorkerCounts[3] = {1, 2, 4};
     // The t4 run carries the wall-clock profiler: its drain/exec/
     // coordinator split (last rep's numbers) becomes the summary rows
     // below. Host timings — reported, never gated.
     Profiler prof16;
     for (int i = 0; i < 3; ++i) {
-        psim_t[i] = timeFig16("fig16_num_nodes.n16", kWorkerCounts[i], 2,
-                              kWorkerCounts[i] == 4 ? &prof16 : nullptr);
+        psim_t[i] = timeKernel(n16, kWorkerCounts[i], 2,
+                               kWorkerCounts[i] == 4 ? &prof16 : nullptr);
         add("fig16n16.t" + std::to_string(kWorkerCounts[i]),
             psim_t[i].seconds, fig16_ops);
     }
@@ -353,18 +358,39 @@ main(int argc, char** argv)
     // The 32/64-node scaling points answer where the barrier cadence
     // bites as partitions grow (129 at 64 nodes): serial vs the
     // 4-worker sharded kernel, one rep each (the points are big).
-    Fig16Run scaled[2][2]; // [point][serial, t4]
+    KernelRun scaled[2][2]; // [point][serial, t4]
     const char* kScaledPoints[2] = {"fig16_num_nodes.n32",
                                     "fig16_num_nodes.n64"};
     const char* kScaledTag[2] = {"fig16n32", "fig16n64"};
     const std::uint64_t scaled_ops[2] = {32 * 4 * 60000, 64 * 4 * 60000};
     for (int p = 0; p < 2; ++p) {
-        scaled[p][0] = timeFig16(kScaledPoints[p], 0, 1);
+        const Scenario& point = points.byName(kScaledPoints[p]);
+        scaled[p][0] = timeKernel(point, 0, 1);
         add(std::string(kScaledTag[p]) + ".serial", scaled[p][0].seconds,
             scaled_ops[p]);
-        scaled[p][1] = timeFig16(kScaledPoints[p], 4, 1);
+        scaled[p][1] = timeKernel(point, 4, 1);
         add(std::string(kScaledTag[p]) + ".t4", scaled[p][1].seconds,
             scaled_ops[p]);
+    }
+
+    // One node, ~10.5k windows with little work in each: the case
+    // where the parallel kernel's per-window cost is all overhead.
+    // ROADMAP's "--threads 1 no slower than serial" criterion reads
+    // these rows (reported, not gated).
+    const Scenario& fig12base =
+        ScenarioRegistry::paper().byName("fig12_performance.base");
+    const std::uint64_t base_ops =
+        std::uint64_t{fig12base.config.nodes} *
+        fig12base.config.coresPerNode *
+        fig12base.config.core.instructionLimit;
+    const double base_serial_s = timeKernel(fig12base, 0, 3).seconds;
+    add("fig12base.serial", base_serial_s, base_ops);
+    const unsigned kBaseWorkers[2] = {1, 4};
+    double base_t[2];
+    for (int i = 0; i < 2; ++i) {
+        base_t[i] = timeKernel(fig12base, kBaseWorkers[i], 3).seconds;
+        add("fig12base.t" + std::to_string(kBaseWorkers[i]), base_t[i],
+            base_ops);
     }
 
     for (int p = 0; p < 3; ++p)
@@ -396,6 +422,11 @@ main(int argc, char** argv)
                       prof16.drainSeconds());
     report.addSummary("profile_fig16n16_t4_coordinator_s",
                       prof16.coordinatorSeconds());
+    for (int i = 0; i < 2; ++i) {
+        report.addSummary("speedup_parallel_fig12base_t" +
+                              std::to_string(kBaseWorkers[i]),
+                          base_serial_s / base_t[i]);
+    }
     for (int p = 0; p < 2; ++p) {
         report.addSummary(std::string("speedup_parallel_") +
                               kScaledTag[p] + "_t4",

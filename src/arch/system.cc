@@ -353,6 +353,7 @@ System::run(unsigned threads)
     // windows.
     parallelWindows_ = 0;
     parallelWidenedWindows_ = 0;
+    parallelPoolEpochs_ = 0;
     Profiler::Timer wall;
     if (threads > 0)
         runParallel(threads);
@@ -438,7 +439,7 @@ System::runParallel(unsigned threads)
 
     unsigned total = config_.nodes * config_.coresPerNode;
     // Sharded partitioning: one partition per node, one per FAM media
-    // module (each with its own pooled queue and mailbox lanes), one
+    // module (each with its own pooled queue and barrier inbox), one
     // for the broker — the media/broker work that used to serialize on
     // a single fabric/FAM partition now scales with the module count.
     ParallelSim::Topology topo;
@@ -493,9 +494,10 @@ System::runParallel(unsigned threads)
         });
     }
 
-    psim.run(); // drains every queue, mailbox and barrier op
+    psim.run(); // drains every queue, inbox and barrier op
     parallelWindows_ = psim.epoch();
     parallelWidenedWindows_ = psim.widenedEpochs();
+    parallelPoolEpochs_ = psim.poolEpochs();
 
     unsigned done = finished.load(std::memory_order_relaxed);
     if (done < total)

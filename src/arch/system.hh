@@ -217,6 +217,11 @@ class System
     {
         return parallelWidenedWindows_;
     }
+    /** Worker-pool epochs of the last parallel run: one per window. */
+    [[nodiscard]] std::uint64_t parallelPoolEpochs() const
+    {
+        return parallelPoolEpochs_;
+    }
 
     /**
      * Attach a Chrome trace sink for subsequent run() calls (null
@@ -274,6 +279,7 @@ class System
     unsigned finished_ = 0;
     std::uint64_t parallelWindows_ = 0;
     std::uint64_t parallelWidenedWindows_ = 0;
+    std::uint64_t parallelPoolEpochs_ = 0;
 };
 
 } // namespace famsim

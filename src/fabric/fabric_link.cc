@@ -1,7 +1,6 @@
 #include "fabric/fabric_link.hh"
 
 #include "psim/parallel_sim.hh"
-#include "sim/logging.hh"
 
 namespace famsim {
 
@@ -32,31 +31,28 @@ FabricLink::departure(Channel channel)
     return departureAt(channel, sim_.curTick());
 }
 
-void
-FabricLink::postRequestParallel(unsigned dst_module, ArbFn fn)
+Tick
+FabricLink::arbitrate(unsigned channel, Tick sent)
 {
-    // The arbitration callback schedules the delivery at sent +
-    // fabric latency, which is only sound on the node<->media edges —
-    // a broker-partition sender would pass the edge-existence check
-    // with the (possibly larger) service-latency floor while its
-    // window ran the destination further ahead. Pin the sender kind.
-    ParallelSim* psim = sim_.parallel();
-    std::uint32_t src = ParallelSim::currentPartition();
-    FAMSIM_ASSERT(src != ParallelSim::kNoPartition &&
-                      psim->kindOf(src) == ParallelSim::Kind::Node,
-                  "fabric request sent from a non-node partition");
-    psim->postArbitrated(psim->mediaPartition(dst_module), std::move(fn));
+    return departureAt(static_cast<Channel>(channel), sent);
 }
 
 void
-FabricLink::postResponseParallel(NodeId dst_node, ArbFn fn)
+FabricLink::postRequestParallel(unsigned dst_module, DeliverFn fn)
+{
+    // No sender-kind check needed: postArbitrated rejects edgeless
+    // pairs and the barrier checks each delivery against its edge.
+    ParallelSim* psim = sim_.parallel();
+    psim->postArbitrated(*this, Request, psim->mediaPartition(dst_module),
+                         std::move(fn));
+}
+
+void
+FabricLink::postResponseParallel(NodeId dst_node, DeliverFn fn)
 {
     ParallelSim* psim = sim_.parallel();
-    std::uint32_t src = ParallelSim::currentPartition();
-    FAMSIM_ASSERT(src != ParallelSim::kNoPartition &&
-                      psim->kindOf(src) == ParallelSim::Kind::Media,
-                  "fabric response sent from a non-media partition");
-    psim->postArbitrated(psim->nodePartition(dst_node), std::move(fn));
+    psim->postArbitrated(*this, Response, psim->nodePartition(dst_node),
+                         std::move(fn));
 }
 
 } // namespace famsim

@@ -15,11 +15,14 @@
  * edge of the kernel's lookahead matrix. Under a bound ParallelSim,
  * both channels' serialization state spans every media partition, so
  * *all* sends become arbitrated posts: the kernel merges them in
- * deterministic (sendTick, srcPartition, seq) order and runs the
- * arbitration single-threaded at the window barrier, using the
- * sender's tick; the callback then schedules the delivery on the
- * destination partition's queue. Serial mode (no ParallelSim bound)
- * is exactly the original single-queue behavior.
+ * deterministic (sendTick, srcPartition, seq) order and, at the window
+ * barrier, single-threaded, calls this link's Arbiter::arbitrate with
+ * the sender's tick. That accounts the packet on its channel
+ * (channelFree, packets, queueing_ns) and returns the delivery tick;
+ * the kernel queues the continuation in the destination partition's
+ * inbox, and the destination's own worker schedules it. Serial mode
+ * (no ParallelSim bound) is exactly the original single-queue
+ * behavior.
  */
 
 #ifndef FAMSIM_FABRIC_FABRIC_LINK_HH
@@ -30,7 +33,7 @@
 #include <type_traits>
 #include <utility>
 
-#include "psim/mailbox.hh" // leaf header: the ArbFn payload type only
+#include "psim/mailbox.hh" // leaf header: Arbiter and DeliverFn only
 #include "sim/simulation.hh"
 
 namespace famsim {
@@ -44,7 +47,7 @@ struct FabricParams {
 };
 
 /** A shared, full-duplex fabric channel. */
-class FabricLink : public Component
+class FabricLink : public Component, public Arbiter
 {
   public:
     /** Direction of travel on the link. */
@@ -72,18 +75,14 @@ class FabricLink : public Component
                                    std::forward<F>(deliver));
             return;
         }
-        auto arb = [this, cb = std::decay_t<F>(std::forward<F>(deliver))](
-                       Tick sent) mutable {
-            sim_.events().schedule(departureAt(Request, sent),
-                                   std::move(cb));
-        };
         // Request deliveries are small ([component, PktPtr] captures);
         // one heap allocation per fabric crossing would dominate the
-        // mailbox cost, so pin them to the inline payload budget.
-        static_assert(sizeof(arb) <= kMailboxInlineBytes,
+        // inbox cost, so pin them to the inline payload budget.
+        static_assert(sizeof(std::decay_t<F>) <= kMailboxInlineBytes,
                       "fabric request continuation no longer fits the "
                       "mailbox inline payload");
-        postRequestParallel(dst_module, ArbFn(std::move(arb)));
+        postRequestParallel(dst_module,
+                            makeDelivery(std::forward<F>(deliver)));
     }
 
     /**
@@ -103,12 +102,8 @@ class FabricLink : public Component
                                    std::forward<F>(deliver));
             return;
         }
-        auto arb = [this, cb = std::decay_t<F>(std::forward<F>(deliver))](
-                       Tick sent) mutable {
-            sim_.events().schedule(departureAt(Response, sent),
-                                   std::move(cb));
-        };
-        postResponseParallel(dst_node, ArbFn(std::move(arb)));
+        postResponseParallel(dst_node,
+                             makeDelivery(std::forward<F>(deliver)));
     }
 
     /**
@@ -148,6 +143,9 @@ class FabricLink : public Component
     /** Account one transmission departing now; @return delivery tick. */
     [[nodiscard]] Tick departure(Channel channel);
 
+    /** Arbiter: departureAt() on behalf of the parallel kernel. */
+    Tick arbitrate(unsigned channel, Tick sent) override;
+
     // Out-of-line parallel-kernel plumbing (fabric_link.cc), so this
     // header — and every component TU including it — stays independent
     // of the kernel proper (psim/mailbox.hh is a leaf payload-type
@@ -156,11 +154,11 @@ class FabricLink : public Component
 
     /** Post @p fn to the kernel's arbitration lane, destination the
      *  partition of media module @p dst_module. */
-    void postRequestParallel(unsigned dst_module, ArbFn fn);
+    void postRequestParallel(unsigned dst_module, DeliverFn fn);
 
     /** Post @p fn to the kernel's arbitration lane, destination the
      *  partition of node @p dst_node. */
-    void postResponseParallel(NodeId dst_node, ArbFn fn);
+    void postResponseParallel(NodeId dst_node, DeliverFn fn);
 
     FabricParams params_;
     std::array<Tick, 2> channelFree_{0, 0};

@@ -163,9 +163,8 @@ MemoryBroker::scheduleBrokerWrite(ParallelSim& psim, NodeId node,
                                   FamAddr block, Tick when)
 {
     unsigned module = media_->moduleOf(block.value());
-    psim.queueOf(psim.mediaPartition(module))
-        .schedule(when,
-                  [this, node, block] { emitBrokerWrite(node, block); });
+    psim.deliver(psim.mediaPartition(module), when,
+                 [this, node, block] { emitBrokerWrite(node, block); });
 }
 
 void
@@ -181,10 +180,10 @@ MemoryBroker::handleUnmapped(NodeId phys_node, std::uint64_t npa_page,
         // structures are read lock-free from node partitions). The
         // service latency is >= the node's outgoing lookahead floor by
         // construction of the matrix, so the due tick is conservative;
-        // bookkeeping traffic and the completion then run as ordinary
-        // events at the resolution tick — the PTE/ACM writes on the
-        // media partitions owning their target modules, the completion
-        // on the faulting node's partition.
+        // bookkeeping traffic and the completion are then delivered as
+        // ordinary events at the resolution tick — the PTE/ACM writes
+        // to the media partitions owning their target modules, the
+        // completion to the faulting node's partition.
         std::uint32_t origin = ParallelSim::currentPartition();
         FAMSIM_ASSERT(origin != ParallelSim::kNoPartition,
                       "system-level fault from outside a partition");
@@ -204,9 +203,10 @@ MemoryBroker::handleUnmapped(NodeId phys_node, std::uint64_t npa_page,
             };
             writePteTraffic(phys_node, npa_page, emit_at_due);
             writeAcmTraffic(fam_page, emit_at_due);
-            psim->queueOf(origin).schedule(
-                due,
-                [fam_page, done = std::move(done)] { done(fam_page); });
+            psim->deliver(origin, due,
+                          [fam_page, done = std::move(done)] {
+                              done(fam_page);
+                          });
         });
         return;
     }
@@ -312,10 +312,10 @@ MemoryBroker::migrateJob(NodeId from, NodeId to, bool use_logical_ids,
             emitBrokerWrite(node, block);
         };
         if (ParallelSim* psim = sim_.parallel(); psim && media_) {
-            // Called from a global barrier op: the workers are
-            // quiescent, so scheduling onto the owning media partitions
-            // at the op's due tick is safe, while a direct media access
-            // would execute outside the module's partition.
+            // Called from a global barrier op: deliver the writes to
+            // the owning media partitions at the op's due tick; a
+            // direct media access would execute outside the module's
+            // partition.
             FAMSIM_ASSERT(emit_at != 0,
                           "parallel migration needs the barrier op's "
                           "due tick for its ACM traffic");

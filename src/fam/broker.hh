@@ -174,9 +174,9 @@ class MemoryBroker : public Component
 
     /**
      * Parallel-kernel flavor of the bookkeeping FAM writes: from a
-     * global barrier op, schedule the write of @p block at @p when on
-     * the media partition that owns the target module (the workers
-     * are quiescent, so cross-queue scheduling is safe).
+     * global barrier op, deliver the write of @p block at @p when to
+     * the media partition that owns the target module (through its
+     * inbox, behind the barrier's fabric deliveries).
      */
     void scheduleBrokerWrite(ParallelSim& psim, NodeId node,
                              FamAddr block, Tick when);

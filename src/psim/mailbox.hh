@@ -1,19 +1,14 @@
 /**
  * @file
- * Cross-partition mailboxes for the parallel simulation kernel.
+ * Cross-partition message types of the parallel simulation kernel.
  *
- * Every ordered pair of partitions (src, dst) owns one Mailbox lane
- * per message kind. A lane is single-producer (only the worker thread
- * currently draining the src partition appends) and is consumed only
- * at window barriers, after every producer has quiesced — the barrier
- * itself provides the happens-before edge, so a lane needs no locks
- * and no atomics at all.
- *
- * Determinism: messages in one lane sit in source execution order, so
- * the vector index doubles as the per-source sequence number. The
- * consumer merges all of its inbound lanes in (tick, srcPartition,
- * seq) order (see NodeQueue::drainInboxes), which makes the schedule
- * independent of worker count and thread interleaving.
+ * Every cross-partition event reaches its destination through that
+ * partition's barrier inbox (NodeQueue::deliver): the coordinator
+ * appends {delivery tick, continuation} between windows, and the
+ * owning worker flushes the inbox into its own queue at the start of
+ * its next window task. Two producers feed the inboxes, both on the
+ * coordinator: the arbitration of fabric sends (an Arbiter turns each
+ * send into a delivery tick) and global barrier ops.
  *
  * Payloads are InlineFunction, not std::function: std::function's
  * 16-byte inline buffer heap-allocated once per fabric crossing for
@@ -21,16 +16,19 @@
  * budget keeps the common continuations (a component pointer plus a
  * PktPtr, or a wrapped done-functor) in place; oversized chains fall
  * back to one heap block, exactly as std::function always did.
+ * makeDelivery() keeps the continuation's concrete type, so the flush
+ * schedules it straight into the event queue's pooled slots instead
+ * of nesting one type-erased wrapper inside another.
  */
 
 #ifndef FAMSIM_PSIM_MAILBOX_HH
 #define FAMSIM_PSIM_MAILBOX_HH
 
 #include <cstddef>
+#include <type_traits>
 #include <utility>
-#include <vector>
 
-#include "sim/check.hh"
+#include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
 #include "sim/types.hh"
 
@@ -39,85 +37,45 @@ namespace famsim {
 /** Inline capture budget for cross-partition message payloads. */
 inline constexpr std::size_t kMailboxInlineBytes = 144;
 
-/** Payload of a direct cross-partition post. */
-using PostFn = InlineFunction<void(), kMailboxInlineBytes>;
+/** Schedules a continuation onto its destination queue at a tick. */
+using DeliverFn =
+    InlineFunction<void(EventQueue&, Tick), kMailboxInlineBytes>;
 
-/** Payload of an arbitrated send (receives the sender's tick). */
-using ArbFn = InlineFunction<void(Tick), kMailboxInlineBytes>;
+/** Wrap continuation @p cb (invocable as void()) as a DeliverFn. */
+template <typename F>
+[[nodiscard]] DeliverFn
+makeDelivery(F&& cb)
+{
+    return DeliverFn([cb = std::decay_t<F>(std::forward<F>(cb))](
+                         EventQueue& queue, Tick when) mutable {
+        queue.schedule(when, std::move(cb));
+    });
+}
 
-/** A cross-partition event with a precomputed delivery tick. */
-struct PostMsg {
-    /** Absolute delivery tick (>= send tick + the edge lookahead). */
+/** A continuation waiting in an inbox with its delivery tick. */
+struct Delivery {
     Tick when = 0;
-    PostFn fn;
+    DeliverFn fn;
 };
 
-/** One single-producer, barrier-drained message lane. */
-template <typename Msg>
-class Mailbox
+/**
+ * A shared resource that serializes arbitrated sends (the fabric's
+ * channels). The coordinator calls arbitrate() single-threaded, in
+ * (sendTick, srcPartition, seq) order across every source, so the
+ * resource's state needs no lock and evolves identically for any
+ * worker count.
+ */
+class Arbiter
 {
   public:
-    /** "Lane is empty" sentinel for minKey(). */
-    static constexpr Tick kNever = kTickForever;
-
     /**
-     * Append @p msg with its pending-tick key (the delivery tick;
-     * producer side, src partition's worker only). The key feeds the
-     * cached lane minimum so the coordinator's next-window scan reads
-     * one Tick per lane instead of walking every queued message.
+     * Account one send on @p channel that left its source at @p sent;
+     * @return its delivery tick (>= sent + the edge lookahead).
      */
-    void
-    push(Msg msg, Tick key)
-    {
-        FAMSIM_CHECK_MAILBOX(checkProducer_);
-        msgs_.push_back(std::move(msg));
-        if (key < minKey_)
-            minKey_ = key;
-    }
+    virtual Tick arbitrate(unsigned channel, Tick sent) = 0;
 
-    /**
-     * Stamp the lane's single producer partition for the FAMSIM_CHECK
-     * ownership hooks (NodeQueue, at wiring). No-op when the checker
-     * is compiled out; unstamped lanes are never checked.
-     */
-    void
-    setCheckProducer(std::uint32_t producer)
-    {
-#if FAMSIM_CHECK
-        checkProducer_ = producer;
-#else
-        (void)producer;
-#endif
-    }
-
-    [[nodiscard]] bool empty() const { return msgs_.empty(); }
-    [[nodiscard]] std::size_t size() const { return msgs_.size(); }
-
-    /** Smallest key queued, kNever when empty. */
-    [[nodiscard]] Tick minKey() const { return minKey_; }
-
-    /** Pending messages, in send order (consumer side, at a barrier). */
-    [[nodiscard]] std::vector<Msg>& messages() { return msgs_; }
-    [[nodiscard]] const std::vector<Msg>& messages() const
-    {
-        return msgs_;
-    }
-
-    /** Drop all messages, keeping capacity (consumer, at a barrier). */
-    void
-    clear()
-    {
-        msgs_.clear();
-        minKey_ = kNever;
-    }
-
-  private:
-    std::vector<Msg> msgs_;
-    Tick minKey_ = kNever;
-#if FAMSIM_CHECK
-    /** The lane's single legal producer; kUnowned = unchecked. */
-    std::uint32_t checkProducer_ = check::kUnowned;
-#endif
+  protected:
+    ~Arbiter() = default;
 };
 
 } // namespace famsim

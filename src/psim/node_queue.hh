@@ -2,18 +2,18 @@
  * @file
  * One partition of the parallel simulation kernel: a private
  * EventQueue (the pooled 4-ary heap from src/sim/event_queue.hh) plus
- * the inbound direct-post mailbox lanes, one per source partition.
- * (Arbitrated fabric sends live in ParallelSim's central lanes: they
- * mutate the shared channel state, so they are merged and run
- * single-threaded at the barrier, not per destination.)
+ * its barrier inbox.
  *
- * The owning worker drains the inboxes at the start of each window —
- * after the barrier, so every producer has quiesced — merging direct
- * posts in (deliverTick, srcPartition, seq) order before executing
- * local events. Merged insertions happen only at barriers and local
- * events are inserted in deterministic execution order, so the queue's
- * (tick, insertion-sequence) tie-break yields one schedule for every
- * worker count.
+ * The inbox is written only between windows, by the coordinator
+ * (arbitrated fabric deliveries, then global barrier ops' schedules,
+ * in that order), and flushed by the owning worker at the start of
+ * its next window task, in append order, before any local event runs.
+ * No producer touches an inbox while a window executes, so the epoch
+ * barrier alone orders the two sides: no locks, no atomics, no double
+ * buffering. Because the flush preserves the coordinator's append
+ * order, the queue's (tick, insertion-sequence) tie-break sees exactly
+ * the sequence a direct schedule at the barrier would have produced —
+ * one schedule for every worker count.
  */
 
 #ifndef FAMSIM_PSIM_NODE_QUEUE_HH
@@ -25,121 +25,74 @@
 #include <vector>
 
 #include "psim/mailbox.hh"
+#include "sim/check.hh"
 #include "sim/event_queue.hh"
-#include "sim/logging.hh"
 
 namespace famsim {
 
-/** A partition's event queue and inbound mailboxes. */
+/** A partition's event queue and barrier inbox. */
 class NodeQueue
 {
   public:
-    /**
-     * @param id          partition index (also stamped on the queue).
-     * @param partitions  total partition count (= inbound lane count).
-     */
-    NodeQueue(std::uint32_t id, std::uint32_t partitions)
-        : id_(id), postIn_(partitions)
+    /** @param id partition index (also stamped on the queue). */
+    explicit NodeQueue(std::uint32_t id) : id_(id)
     {
         queue_.setId(id);
-        // Ownership stamps for the FAMSIM_CHECK hooks: the queue
-        // belongs to this partition; inbound lane src may only be
-        // appended to by partition src. No-ops when compiled out.
+        // Ownership stamp for the FAMSIM_CHECK hooks: the queue
+        // belongs to this partition. No-op when compiled out.
         queue_.setCheckOwner(id);
-        for (std::uint32_t src = 0; src < partitions; ++src)
-            postIn_[src].setCheckProducer(src);
     }
 
     [[nodiscard]] std::uint32_t id() const { return id_; }
     [[nodiscard]] EventQueue& queue() { return queue_; }
     [[nodiscard]] const EventQueue& queue() const { return queue_; }
 
-    /** Inbound direct-post lane from partition @p src (producer side). */
-    [[nodiscard]] Mailbox<PostMsg>& postInbox(std::uint32_t src)
+    /**
+     * Queue @p fn for delivery at @p when (coordinator, between
+     * windows only).
+     */
+    void
+    deliver(Tick when, DeliverFn fn)
     {
-        return postIn_[src];
+        FAMSIM_CHECK_INBOX(id_);
+        inbox_.push_back(Delivery{when, std::move(fn)});
+        inboxMin_ = std::min(inboxMin_, when);
     }
 
     /**
-     * Earliest pending tick across the local queue and the inboxes
-     * (lane key: deliverTick). Only meaningful at a barrier. Reads
-     * each lane's cached minimum — one Tick per lane, not a message
-     * walk, which matters on the coordinator's serial section at
-     * 64-node partition counts.
+     * Earliest pending tick across the local queue and the inbox.
+     * Only meaningful between windows.
      */
     [[nodiscard]] Tick
     minPendingTick() const
     {
-        Tick min = queue_.nextTick();
-        for (const auto& lane : postIn_)
-            min = std::min(min, lane.minKey());
-        return min;
-    }
-
-    [[nodiscard]] bool
-    inboxesEmpty() const
-    {
-        for (const auto& lane : postIn_) {
-            if (!lane.empty())
-                return false;
-        }
-        return true;
+        return std::min(queue_.nextTick(), inboxMin_);
     }
 
     /**
-     * Merge every inbound post into the local queue (owning worker,
-     * right after a barrier), in (tick, srcPartition, seq) order.
-     * @return messages merged (the trace's per-partition "drained"
+     * Schedule every inbox delivery onto the local queue, in append
+     * order (owning worker, at the start of its window task).
+     * @return deliveries flushed (the trace's per-partition "drained"
      * counter track).
      */
     std::uint64_t
-    drainInboxes()
+    flushInbox()
     {
-        scratch_.clear();
-        for (std::uint32_t src = 0; src < postIn_.size(); ++src) {
-            const auto& msgs = postIn_[src].messages();
-            for (std::uint32_t i = 0; i < msgs.size(); ++i)
-                scratch_.push_back({MergeKey{msgs[i].when, src, i}, i});
-        }
-        std::sort(scratch_.begin(), scratch_.end(),
-                  [](const auto& a, const auto& b) {
-                      return a.first < b.first;
-                  });
-        for (const auto& [key, idx] : scratch_) {
-            PostMsg& msg = postIn_[key.src].messages()[idx];
-            FAMSIM_ASSERT(msg.when >= queue_.curTick(),
-                          "cross-partition post into the past");
-            queue_.schedule(msg.when, std::move(msg.fn));
-        }
-        for (auto& lane : postIn_)
-            lane.clear();
-        return static_cast<std::uint64_t>(scratch_.size());
+        for (Delivery& d : inbox_)
+            d.fn(queue_, d.when);
+        const auto flushed = static_cast<std::uint64_t>(inbox_.size());
+        inbox_.clear();
+        inboxMin_ = EventQueue::kForever;
+        return flushed;
     }
 
   private:
-    /** Deterministic merge key: (tick, srcPartition, seq). */
-    struct MergeKey {
-        Tick tick;
-        std::uint32_t src;
-        std::uint32_t seq;
-
-        bool
-        operator<(const MergeKey& other) const
-        {
-            if (tick != other.tick)
-                return tick < other.tick;
-            if (src != other.src)
-                return src < other.src;
-            return seq < other.seq;
-        }
-    };
-
     std::uint32_t id_;
     EventQueue queue_;
-    /** Inbound lanes indexed by source partition. */
-    std::vector<Mailbox<PostMsg>> postIn_;
-    /** Merge scratch, reused across barriers. */
-    std::vector<std::pair<MergeKey, std::uint32_t>> scratch_;
+    std::vector<Delivery> inbox_;
+    /** Smallest inbox tick, so the coordinator's window scan reads
+     *  one Tick per partition instead of walking the inbox. */
+    Tick inboxMin_ = EventQueue::kForever;
 };
 
 } // namespace famsim

@@ -73,7 +73,7 @@ ParallelSim::init(std::uint32_t partitions)
                   "a parallel kernel is already bound to this simulation");
     parts_.reserve(partitions);
     for (std::uint32_t p = 0; p < partitions; ++p)
-        parts_.push_back(std::make_unique<NodeQueue>(p, partitions));
+        parts_.push_back(std::make_unique<NodeQueue>(p));
     outBound_.reserve(partitions);
     for (std::uint32_t p = 0; p < partitions; ++p)
         outBound_.push_back(
@@ -97,77 +97,48 @@ ParallelSim::sourceLane() const
 }
 
 void
-ParallelSim::post(std::uint32_t dst, Tick when, PostFn fn)
-{
-    std::uint32_t src = currentPartition();
-    FAMSIM_ASSERT(src != kNoPartition,
-                  "cross-partition post from outside a partition");
-    FAMSIM_ASSERT(dst < partitions(), "post to unknown partition ", dst);
-    Tick la = lookaheadBetween(src, dst);
-    FAMSIM_ASSERT(la != kNever, "post on the edgeless partition pair ",
-                  src, " -> ", dst);
-    FAMSIM_ASSERT(when >= SyncWindow::satAdd(parts_[src]->queue().curTick(),
-                                             la),
-                  "cross-partition post violates the edge lookahead");
-    parts_[dst]->postInbox(src).push(PostMsg{when, std::move(fn)}, when);
-}
-
-void
-ParallelSim::postArbitrated(std::uint32_t dst, ArbFn fn)
+ParallelSim::postArbitrated(Arbiter& arbiter, unsigned channel,
+                            std::uint32_t dst, DeliverFn fn)
 {
     std::uint32_t src = currentPartition();
     FAMSIM_ASSERT(src != kNoPartition,
                   "arbitrated post from outside a partition");
     FAMSIM_ASSERT(dst < partitions(), "post to unknown partition ", dst);
-    Tick la = lookaheadBetween(src, dst);
-    FAMSIM_ASSERT(la != kNever,
+    FAMSIM_ASSERT(lookaheadBetween(src, dst) != kNever,
                   "arbitrated send on the edgeless partition pair ", src,
                   " -> ", dst);
     Tick sent = parts_[src]->queue().curTick();
-    arbIn_[src].sends.push_back(ArbSend{sent, dst, std::move(fn)});
+    arbIn_[src].push_back(
+        ArbSend{sent, dst, channel, &arbiter, std::move(fn)});
 }
 
 void
-ParallelSim::drainArbitrated()
+ParallelSim::arbitrate()
 {
-    // Rounds: a callback may itself post an arbitrated send (it runs
-    // with the destination as scheduling context), which lands in the
-    // lanes after the snapshot below — loop until the lanes stay
-    // empty, so nothing queued is ever dropped. drainArbitrated()
-    // always runs to empty lanes, which is what lets the window scan
-    // read real delivery ticks off the queues instead of lane keys.
-    for (;;) {
-        arbScratch_.clear();
-        arbGathered_.assign(arbIn_.size(), 0);
-        for (std::uint32_t src = 0; src < arbIn_.size(); ++src) {
-            const auto& sends = arbIn_[src].sends;
-            arbGathered_[src] =
-                static_cast<std::uint32_t>(sends.size());
-            for (std::uint32_t i = 0; i < sends.size(); ++i)
-                arbScratch_.push_back({{sends[i].sent, src}, i});
-        }
-        if (arbScratch_.empty())
-            return;
-        // Merged (sent, srcPartition, seq) order across every source
-        // and destination: the shared channel state is then touched by
-        // exactly one thread (the coordinator), deterministically.
-        std::sort(arbScratch_.begin(), arbScratch_.end());
-        for (const auto& [key, idx] : arbScratch_) {
-            // Re-index on every access: a re-entrant post may have
-            // grown (reallocated) the lane vector.
-            ArbSend& send = arbIn_[key.second].sends[idx];
-            Scope scope(*this, send.dst, check::Phase::Barrier);
-            ArbFn fn = std::move(send.fn);
-            fn(send.sent);
-        }
-        // Erase exactly the executed (snapshot) prefix of each lane;
-        // re-entrant appends survive into the next round.
-        for (std::uint32_t src = 0; src < arbIn_.size(); ++src) {
-            auto& sends = arbIn_[src].sends;
-            sends.erase(sends.begin(),
-                        sends.begin() + arbGathered_[src]);
-        }
+    arbScratch_.clear();
+    for (std::uint32_t src = 0; src < arbIn_.size(); ++src) {
+        const auto& sends = arbIn_[src];
+        for (std::uint32_t i = 0; i < sends.size(); ++i)
+            arbScratch_.push_back({{sends[i].sent, src}, i});
     }
+    // Merged (sent, srcPartition, seq) order across every source and
+    // destination: the arbiters' shared state is touched by exactly
+    // one thread (the coordinator), deterministically. Arbiters only
+    // return ticks, so nothing can append to the lanes meanwhile.
+    std::sort(arbScratch_.begin(), arbScratch_.end());
+    for (const auto& [key, idx] : arbScratch_) {
+        const std::uint32_t src = key.second;
+        ArbSend& send = arbIn_[src][idx];
+        const Tick when = send.arbiter->arbitrate(send.channel, send.sent);
+        const Tick earliest = SyncWindow::satAdd(
+            send.sent, lookaheadBetween(src, send.dst));
+        FAMSIM_ASSERT(when >= earliest, "arbitrated delivery at ", when,
+                      " undercuts the ", src, " -> ", send.dst,
+                      " edge lookahead (sent at ", send.sent, ")");
+        parts_[send.dst]->deliver(when, std::move(send.fn));
+    }
+    for (auto& sends : arbIn_)
+        sends.clear();
 }
 
 void
@@ -238,10 +209,10 @@ ParallelSim::windowBounds() const
     // earliest cross-partition commitment: a partition's earliest
     // pending event plus its smallest outgoing edge; partitions that
     // never send place no bound at all, their events drain in
-    // whatever window covers them). The per-partition scans read the
-    // queues and the cached post-lane minimums — the arbitration
-    // lanes are always empty here, drainArbitrated() runs to empty
-    // right before.
+    // whatever window covers them). The per-partition scans read each
+    // queue's next tick and its inbox minimum (this barrier's
+    // arbitrated deliveries) — the arbitration lanes are empty here,
+    // arbitrate() ran right before.
     Tick next = EventQueue::kForever;
     Tick horizon = SyncWindow::kTickMax;
     for (std::uint32_t p = 0; p < parts_.size(); ++p) {
@@ -304,9 +275,9 @@ ParallelSim::run()
         Profiler::Timer coord;
         collectGlobalOps();
         // Arbitrate all queued fabric sends first: the deliveries land
-        // on their destination queues, so the window scan below sees
+        // in their destination inboxes, so the window scan below sees
         // real delivery ticks instead of conservative floors.
-        drainArbitrated();
+        arbitrate();
         SyncWindow::Bounds bounds = windowBounds();
         if (bounds.start == EventQueue::kForever) {
             if (prof)
@@ -326,31 +297,31 @@ ParallelSim::run()
             trace->span(TraceSink::kPsim, brokerPartition(),
                         "psim.window", start, end, widened ? 1 : 0);
         }
-        // Two phases per window, each a full barrier. Drains must not
-        // overlap execution: a partition already running the new
-        // window would otherwise append to the very lanes another
-        // partition is still merging. With the drain fenced off, every
-        // producer is quiescent while its messages are consumed — the
-        // property that lets the mailboxes stay lock-free.
+        // One epoch per window: each task flushes its partition's
+        // inbox, then executes the window. The coordinator, the only
+        // inbox producer, waits at the barrier meanwhile, so a flush
+        // never races an append; and a partition's execution only
+        // reaches other partitions through postArbitrated/postGlobal,
+        // which the next barrier consumes.
         pool_.runEpoch(parts_.size(), [&](std::size_t p) {
             const auto part = static_cast<std::uint32_t>(p);
-            Scope scope(*this, part, check::Phase::Drain);
-            std::uint64_t drained;
-            if (prof) {
-                Profiler::Timer t;
-                drained = parts_[p]->drainInboxes();
-                prof->addDrain(part, t.seconds());
-            } else {
-                drained = parts_[p]->drainInboxes();
+            {
+                Scope scope(*this, part, check::Phase::Drain);
+                std::uint64_t drained;
+                if (prof) {
+                    Profiler::Timer t;
+                    drained = parts_[p]->flushInbox();
+                    prof->addDrain(part, t.seconds());
+                } else {
+                    drained = parts_[p]->flushInbox();
+                }
+                // Partition-exclusive lane: only this worker, this
+                // epoch.
+                if (trace && drained > 0) {
+                    trace->counter(TraceSink::kPsim, part,
+                                   "psim.drained", start, drained);
+                }
             }
-            // Partition-exclusive lane: only this worker, this epoch.
-            if (trace && drained > 0) {
-                trace->counter(TraceSink::kPsim, part, "psim.drained",
-                               start, drained);
-            }
-        });
-        pool_.runEpoch(parts_.size(), [&](std::size_t p) {
-            const auto part = static_cast<std::uint32_t>(p);
             Scope scope(*this, part, check::Phase::Exec);
             if (prof) {
                 Profiler::Timer t;

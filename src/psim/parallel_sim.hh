@@ -16,14 +16,16 @@
  *    the STU/E-FAM path, response sends from the media);
  *  - anything <-> broker: the broker's fault service latency.
  *
- * Direct cross-partition posts travel through single-producer Mailbox
- * lanes drained at the window barriers in (tick, srcPartition, seq)
- * order. Fabric sends are *arbitrated*: the shared channel's
- * serialization state (channelFree) is one resource spanning every
- * media partition, so all sends from all sources are merged in
- * (sendTick, srcPartition, seq) order and arbitrated single-threaded
- * by the coordinator at the barrier, each callback then scheduling its
- * delivery on the destination partition's queue. The merged schedule —
+ * Every window is one WorkerPool epoch. Between windows the
+ * coordinator does only what must be serial: fabric sends are
+ * *arbitrated* — the shared channel's serialization state
+ * (channelFree) is one resource spanning every media partition, so
+ * all sends from all sources are merged in (sendTick, srcPartition,
+ * seq) order and an Arbiter turns each into a delivery tick,
+ * single-threaded — and global barrier ops run. Both append their
+ * deliveries to the destination partitions' barrier inboxes; each
+ * window task then flushes its own inbox into its queue (the heap
+ * pushes run in parallel) before executing the window. The schedule —
  * and therefore every statistic — is byte-identical for any worker
  * count.
  *
@@ -42,12 +44,12 @@
  * ACM flat map, a node's system-level page table) run as *global
  * barrier ops*: single-threaded, between windows, ordered by (due
  * tick, srcPartition, seq). They may only mutate quiescent state and
- * schedule events at or after their due tick; an op runs at the
- * barrier whose window starts at (or after) its due tick, so no
- * partition has executed past the due when it runs. An op posted with
- * due inside its own window (the warmup reset) runs at the next
- * barrier but must not schedule: the queues have already run past its
- * due tick.
+ * schedule events (through deliver()) at or after their due tick; an
+ * op runs at the barrier whose window starts at (or after) its due
+ * tick, so no partition has executed past the due when it runs. An op
+ * posted with due inside its own window (the warmup reset) runs at the
+ * next barrier but must not schedule: the queues have already run past
+ * its due tick.
  *
  * The parallel schedule is deliberately *not* identical to the legacy
  * serial one (same-tick cross-partition ties resolve by (tick, src,
@@ -67,6 +69,7 @@
 #include <utility>
 #include <vector>
 
+#include "psim/mailbox.hh"
 #include "psim/node_queue.hh"
 #include "psim/sync_window.hh"
 #include "psim/worker_pool.hh"
@@ -184,6 +187,11 @@ class ParallelSim
         return window_.widened();
     }
     [[nodiscard]] unsigned threads() const { return pool_.threads(); }
+    /** WorkerPool epochs run so far: one per window. */
+    [[nodiscard]] std::uint64_t poolEpochs() const
+    {
+        return pool_.epochs();
+    }
 
     [[nodiscard]] EventQueue& queueOf(std::uint32_t partition)
     {
@@ -218,21 +226,28 @@ class ParallelSim
     }
 
     /**
-     * Cross-partition post: run @p fn on @p dst at absolute tick
-     * @p when, which must respect the (src, dst) edge lookahead
-     * relative to the sender's current tick.
+     * Arbitrated cross-partition send from the calling partition to
+     * @p dst: at the next barrier the coordinator merges every queued
+     * send in (sendTick, srcPartition, seq) order, asks @p arbiter for
+     * the delivery tick on @p channel, checks it against the (src,
+     * dst) edge lookahead and queues @p fn in @p dst's inbox. Used for
+     * the shared fabric's channel serialization, whose state spans
+     * every media partition.
      */
-    void post(std::uint32_t dst, Tick when, PostFn fn);
+    void postArbitrated(Arbiter& arbiter, unsigned channel,
+                        std::uint32_t dst, DeliverFn fn);
 
     /**
-     * Arbitrated cross-partition send: at the next barrier, @p fn
-     * (sendTick) runs on @p dst — single-threaded, merged across all
-     * sources and destinations in (sendTick, srcPartition, seq) order
-     * — and must itself schedule the delivery at or after sendTick +
-     * the edge lookahead. Used for the shared fabric's channel
-     * serialization, whose state spans every media partition.
+     * Barrier-time schedule (global ops only): run @p cb on partition
+     * @p dst at @p when. Goes through @p dst's inbox, behind this
+     * barrier's arbitrated deliveries, in call order.
      */
-    void postArbitrated(std::uint32_t dst, ArbFn fn);
+    template <typename F>
+    void
+    deliver(std::uint32_t dst, Tick when, F&& cb)
+    {
+        parts_[dst]->deliver(when, makeDelivery(std::forward<F>(cb)));
+    }
 
     /**
      * Global barrier op: at the first barrier whose window start is at
@@ -251,7 +266,7 @@ class ParallelSim
     void postGlobal(Tick due, std::function<void()> fn);
 
     /**
-     * Drive windows until every queue, mailbox and barrier op has
+     * Drive windows until every queue, inbox and barrier op has
      * drained. @return total events executed across all partitions.
      */
     std::uint64_t run();
@@ -260,7 +275,7 @@ class ParallelSim
     struct GlobalOp {
         Tick due;
         std::uint32_t src;
-        /** Per-source monotonic stamp (never reset, unlike mailbox
+        /** Per-source monotonic stamp (never reset, unlike lane
          *  indices) so ops surviving across barriers keep a total
          *  deterministic order. */
         std::uint64_t seq;
@@ -271,13 +286,9 @@ class ParallelSim
     struct ArbSend {
         Tick sent;
         std::uint32_t dst;
-        ArbFn fn;
-    };
-
-    /** Per-source arbitration lane: single-producer, coordinator-
-     *  consumed (to empty) at every barrier. */
-    struct ArbLane {
-        std::vector<ArbSend> sends;
+        unsigned channel;
+        Arbiter* arbiter;
+        DeliverFn fn;
     };
 
     /**
@@ -287,7 +298,7 @@ class ParallelSim
      * stale slot would dangle into later runs on the same thread.
      * Also publishes the (partition, phase) context the FAMSIM_CHECK
      * ownership hooks read: Drain/Exec enforce partition exclusivity,
-     * Barrier marks the coordinator's legal cross-partition sections,
+     * Barrier marks the global ops' legal cross-partition section,
      * None (withPartition wiring) enforces nothing.
      */
     class Scope
@@ -323,10 +334,9 @@ class ParallelSim
      */
     [[nodiscard]] SyncWindow::Bounds windowBounds() const;
 
-    /** Merge + run all queued arbitrated sends, to empty lanes,
-     *  looping over rounds if a callback posts more (coordinator
-     *  only). */
-    void drainArbitrated();
+    /** Merge and arbitrate every queued send into the destination
+     *  inboxes, leaving the lanes empty (coordinator only). */
+    void arbitrate();
 
     void collectGlobalOps();
 
@@ -345,13 +355,12 @@ class ParallelSim
 
     std::vector<std::unique_ptr<NodeQueue>> parts_;
 
-    /** Central arbitration lanes, one per source partition. */
-    std::vector<ArbLane> arbIn_;
+    /** Central arbitration lanes, one per source partition:
+     *  single-producer, emptied by the coordinator at every barrier. */
+    std::vector<std::vector<ArbSend>> arbIn_;
     /** Arbitration merge scratch: (sent, src, idx), reused. */
     std::vector<std::pair<std::pair<Tick, std::uint32_t>, std::uint32_t>>
         arbScratch_;
-    /** Per-lane snapshot sizes of the current arbitration round. */
-    std::vector<std::uint32_t> arbGathered_;
 
     /** Barrier-op lanes, one per source partition plus the main
      *  thread; single-producer, merged at barriers. */

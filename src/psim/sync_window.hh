@@ -10,8 +10,9 @@
  * executing events in [start, start + lookahead) can only generate
  * cross-partition work at or after start + lookahead, i.e. in a later
  * window — so all partitions can execute one window concurrently with
- * no locks, and mailboxes only need draining at the window barriers
- * (the classic null-message-free windowed conservative PDES scheme).
+ * no locks, and cross-partition messages only need delivering at the
+ * window barriers (the classic null-message-free windowed conservative
+ * PDES scheme).
  *
  * Since the sharded-partition kernel, windows are *adaptive*: the
  * coordinator computes the earliest cross-partition commitment any

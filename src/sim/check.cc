@@ -41,8 +41,8 @@ failAccess(const Tag& tag, const char* what)
                  "' owned by ", partitionName(tag.owner), ", touched by ",
                  partitionName(c.partition), " during the ",
                  toString(c.phase),
-                 " phase; route it through a mailbox post or a barrier "
-                 "op, or use a SharedCounter/JobStatTable");
+                 " phase; route it through an arbitrated send or a "
+                 "barrier op, or use a SharedCounter/JobStatTable");
 }
 
 void
@@ -53,19 +53,20 @@ failQueue(std::uint32_t owner)
                  partitionName(owner), ", scheduled on by ",
                  partitionName(c.partition), " during the ",
                  toString(c.phase),
-                 " phase; route it through a mailbox post or a barrier "
-                 "op");
+                 " phase; route it through an arbitrated send or a "
+                 "barrier op");
 }
 
 void
-failMailbox(std::uint32_t producer)
+failInbox(std::uint32_t owner)
 {
     const Context& c = ctx();
-    FAMSIM_PANIC("cross-partition mailbox push: lane produced by ",
-                 partitionName(producer), ", pushed by ",
+    FAMSIM_PANIC("inbox push inside a window: inbox of ",
+                 partitionName(owner), ", pushed by ",
                  partitionName(c.partition), " during the ",
                  toString(c.phase),
-                 " phase; post from the owning source partition");
+                 " phase; inboxes are written only between windows, by "
+                 "the arbitration or a barrier op");
 }
 
 void

@@ -3,10 +3,11 @@
  * Partition-ownership checker (the FAMSIM_CHECK build option).
  *
  * The parallel kernel's correctness rests on an ownership discipline:
- * a partition's event queue, its plain (non-atomic) statistics and its
- * inbound mailbox lanes are written only by the worker currently
- * executing that partition, and every cross-partition interaction goes
- * through a mailbox post, an arbitrated send or a barrier op. TSan can
+ * a partition's event queue and its plain (non-atomic) statistics are
+ * written only by the worker currently executing that partition, its
+ * barrier inbox only by the coordinator between windows, and every
+ * cross-partition interaction goes through an arbitrated send or a
+ * barrier op. TSan can
  * catch a violation only when the scheduler happens to overlap the two
  * touches; this checker tags each guarded object with its owning
  * partition at wiring time, tracks the calling thread's (partition,
@@ -16,14 +17,14 @@
  * Phase rules (see DESIGN.md "Correctness tooling"):
  *  - None (serial mode, wiring, coordinator sections, post-run reads):
  *    everything is allowed; there is no concurrency to race with.
- *  - Barrier (arbitrated-send callbacks, global barrier ops): all
- *    workers are quiescent and the coordinator runs single-threaded in
- *    a deterministic merge order, so cross-partition touches are legal
- *    by design.
- *  - Drain / Exec (the two fenced window phases): a thread may only
- *    touch state owned by the partition it is executing. During Drain,
- *    message payloads may be moved but never run or destroyed, so
- *    packet-pool traffic is additionally banned.
+ *  - Barrier (global barrier ops): all workers are quiescent and the
+ *    coordinator runs single-threaded in a deterministic order, so
+ *    cross-partition touches are legal by design.
+ *  - Drain / Exec (the inbox flush and the execution that follows it,
+ *    inside one window task): a thread may only touch state owned by
+ *    the partition it is executing, and may not push into any inbox.
+ *    During Drain, message payloads may be moved but never run or
+ *    destroyed, so packet-pool traffic is additionally banned.
  *
  * SharedCounter and JobStatTable are deliberately untagged: their
  * relaxed-atomic adds are order-independent sums, safe and
@@ -50,9 +51,9 @@ inline constexpr std::uint32_t kUnowned = ~std::uint32_t{0};
 /** The calling thread's position in the window protocol. */
 enum class Phase : std::uint8_t {
     None = 0,    //!< serial mode, wiring, coordinator serial sections
-    Barrier = 1, //!< arb callbacks / global ops: workers quiescent
-    Drain = 2,   //!< mailbox merge epoch (fenced from execution)
-    Exec = 3,    //!< window execution epoch
+    Barrier = 1, //!< global ops: workers quiescent
+    Drain = 2,   //!< inbox flush at the start of a window task
+    Exec = 3,    //!< window execution
 };
 
 [[nodiscard]] const char* toString(Phase phase);
@@ -134,7 +135,7 @@ struct Tag {
 
 [[noreturn]] void failAccess(const Tag& tag, const char* what);
 [[noreturn]] void failQueue(std::uint32_t owner);
-[[noreturn]] void failMailbox(std::uint32_t producer);
+[[noreturn]] void failInbox(std::uint32_t owner);
 [[noreturn]] void failPacketPool();
 
 /** True when the current phase enforces partition exclusivity. */
@@ -166,22 +167,23 @@ queueSchedule(std::uint32_t owner)
         failQueue(owner);
 }
 
-/** Hook: Mailbox::push into the lane produced by @p producer. */
+/**
+ * Hook: NodeQueue::deliver into partition @p owner's inbox. Inboxes
+ * are written only between windows, so any push from inside a window
+ * task fatals, even one into the executing partition's own inbox.
+ */
 inline void
-mailboxPush(std::uint32_t producer)
+inboxPush(std::uint32_t owner)
 {
-    if (producer == kUnowned)
-        return;
-    const Context& c = ctx();
-    if (enforced(c.phase) && c.partition != producer)
-        failMailbox(producer);
+    if (enforced(ctx().phase))
+        failInbox(owner);
 }
 
 /**
  * Hook: packet pool alloc/recycle. Pools are thread-local (no race is
  * possible), but pool traffic during the Drain phase means a message
- * payload was run or destroyed while being merged — a violation of the
- * fenced-drain discipline that keeps the mailboxes lock-free.
+ * payload was run or destroyed while being flushed — a violation of
+ * the discipline that lets a flush only move payloads into the queue.
  */
 inline void
 packetPoolOp()
@@ -218,13 +220,12 @@ class WiringScope
 #if FAMSIM_CHECK
 #define FAMSIM_CHECK_STAT(tag, what) ::famsim::check::access(tag, what)
 #define FAMSIM_CHECK_QUEUE(owner) ::famsim::check::queueSchedule(owner)
-#define FAMSIM_CHECK_MAILBOX(producer) \
-    ::famsim::check::mailboxPush(producer)
+#define FAMSIM_CHECK_INBOX(owner) ::famsim::check::inboxPush(owner)
 #define FAMSIM_CHECK_PACKET_POOL() ::famsim::check::packetPoolOp()
 #else
 #define FAMSIM_CHECK_STAT(tag, what) ((void)0)
 #define FAMSIM_CHECK_QUEUE(owner) ((void)0)
-#define FAMSIM_CHECK_MAILBOX(producer) ((void)0)
+#define FAMSIM_CHECK_INBOX(owner) ((void)0)
 #define FAMSIM_CHECK_PACKET_POOL() ((void)0)
 #endif
 

@@ -4,8 +4,8 @@
  *
  * The sim-time trace (trace_sink.hh) answers "what did the simulated
  * system do"; the profiler answers "what did the *host* spend its time
- * on": per-partition drain/exec seconds per window epoch, the
- * coordinator's serial sections (arbitration merge, window bounds,
+ * on": per-partition drain (inbox flush) and exec seconds per window,
+ * the coordinator's serial sections (arbitration merge, window bounds,
  * global ops), and the whole run's wall clock. Everything here is
  * host-timing and therefore explicitly NONDETERMINISTIC — it is
  * exported as a separate "profile" block that is never part of golden
@@ -94,7 +94,7 @@ class Profiler
     [[nodiscard]] std::uint64_t windows() const { return windows_; }
     [[nodiscard]] double coordinatorSeconds() const { return coordinator_; }
 
-    /** Sum of all partitions' drain-epoch seconds. */
+    /** Sum of all partitions' inbox-flush seconds. */
     [[nodiscard]] double
     drainSeconds() const
     {
@@ -104,7 +104,7 @@ class Profiler
         return total;
     }
 
-    /** Sum of all partitions' exec-epoch seconds. */
+    /** Sum of all partitions' window-execution seconds. */
     [[nodiscard]] double
     execSeconds() const
     {
@@ -122,7 +122,7 @@ class Profiler
 
   private:
     struct PartTimes {
-        double drain = 0.0; //!< inbox merge + schedule (drain epochs)
+        double drain = 0.0; //!< inbox flush at each window's start
         double exec = 0.0;  //!< event execution (exec epochs)
     };
 

@@ -8,6 +8,8 @@
 #ifndef FAMSIM_TESTS_GOLDEN_HH
 #define FAMSIM_TESTS_GOLDEN_HH
 
+#include <gtest/gtest.h>
+
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -44,6 +46,30 @@ updateRequested()
 {
     const char* env = std::getenv("FAMSIM_UPDATE_GOLDEN");
     return env != nullptr && *env != '\0' && std::string(env) != "0";
+}
+
+/**
+ * Expect @p actual to equal the golden @p name byte for byte, or
+ * rewrite the golden (and skip) under FAMSIM_UPDATE_GOLDEN.
+ */
+inline void
+expectGolden(const std::string& name, const std::string& actual)
+{
+    const std::string path = goldenPath(name);
+    if (updateRequested()) {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        ASSERT_TRUE(out) << "cannot write golden " << path;
+        out << actual;
+        GTEST_SKIP() << "golden updated: " << path;
+    }
+    const std::string expected = readFile(path);
+    ASSERT_FALSE(expected.empty())
+        << "missing golden " << path
+        << " (regenerate with FAMSIM_UPDATE_GOLDEN=1)";
+    EXPECT_EQ(expected, actual)
+        << "'" << name
+        << "' diverged from its golden; if intentional, regenerate "
+           "with FAMSIM_UPDATE_GOLDEN=1 and commit the diff";
 }
 
 } // namespace famsim::test

@@ -4,13 +4,13 @@
  *
  * The negative tests seed deliberate ownership violations — a
  * cross-partition stat write, a mid-exec mailbox bypass (direct
- * schedule onto a foreign queue), a wrong-lane mailbox push, a packet
- * pool op during a drain — and pin the owner/accessor/phase
- * diagnostic. They run the kernel with threads = 1, where the worker
- * pool degenerates to a plain caller loop, so the panic-thrown
- * SimError (ScopedThrowOnError) propagates to the test without
- * forking; the checker itself is thread-count-independent, firing at
- * the same event on every run.
+ * schedule onto a foreign queue), an inbox push inside a window, a
+ * packet pool op during an inbox flush — and pin the
+ * owner/accessor/phase diagnostic. They run the kernel with
+ * threads = 1, where the worker pool degenerates to a plain caller
+ * loop, so the panic-thrown SimError (ScopedThrowOnError) propagates
+ * to the test without forking; the checker itself is
+ * thread-count-independent, firing at the same event on every run.
  *
  * When the checker is compiled out the suite reduces to one skipped
  * placeholder, keeping the ctest inventory identical across builds.
@@ -54,7 +54,7 @@ TEST(OwnershipCheck, CrossPartitionStatWriteFatals)
         victim = &sim.stats().counter("check.victim", "owned by 1");
     }
     // Seed the violation: an event on partition 0 bumps partition 1's
-    // counter directly instead of routing through a mailbox post.
+    // counter directly instead of routing through an arbitrated send.
     psim.withPartition(0, [&] {
         sim.events().schedule(5, [&] { ++*victim; });
     });
@@ -75,7 +75,7 @@ TEST(OwnershipCheck, MidExecMailboxBypassFatals)
     Simulation sim;
     ParallelSim psim(sim, 2, 10, 1);
     // Seed the bypass: mid-exec, partition 0 schedules straight onto
-    // partition 1's queue, skipping ParallelSim::post entirely.
+    // partition 1's queue instead of sending through the kernel.
     psim.withPartition(0, [&] {
         sim.events().schedule(5, [&] {
             psim.queueOf(1).schedule(100, [] {});
@@ -91,19 +91,18 @@ TEST(OwnershipCheck, MidExecMailboxBypassFatals)
     }
 }
 
-TEST(OwnershipCheck, WrongLaneMailboxPushFatals)
+TEST(OwnershipCheck, InboxPushInsideWindowFatals)
 {
-    // Unit-level: lane src of a NodeQueue may only be appended to by
-    // partition src. Fake an exec context for partition 1 and push
-    // into partition 0's lane.
-    NodeQueue nq(1, 2);
+    // Unit-level: inboxes are written only between windows. Fake an
+    // exec context for partition 1 and push into partition 0's inbox.
+    NodeQueue nq(0);
     check::PhaseScope phase(1, check::Phase::Exec);
     ScopedThrowOnError guard;
     try {
-        nq.postInbox(0).push(PostMsg{50, PostFn([] {})}, 50);
+        nq.deliver(50, makeDelivery([] {}));
         FAIL() << "expected the ownership checker to fire";
     } catch (const SimError& err) {
-        expectDiagnostic(err.what(), "produced by partition 0",
+        expectDiagnostic(err.what(), "inbox of partition 0",
                          "partition 1", "exec");
     }
 }
@@ -156,9 +155,16 @@ TEST(OwnershipCheck, FiresIdenticallyOnEveryRun)
 
 TEST(OwnershipCheck, LegalTrafficIsNotFlagged)
 {
-    // The positive contract: partition-local bumps, mailbox posts and
-    // the delivered continuation's writes on the owning partition all
-    // pass, and the run completes with the expected counts.
+    // The positive contract: partition-local bumps, an arbitrated send
+    // and the delivered continuation's writes on the owning partition
+    // all pass, and the run completes with the expected counts.
+    struct TenTicks : Arbiter {
+        Tick
+        arbitrate(unsigned, Tick sent) override
+        {
+            return sent + 10;
+        }
+    } arbiter;
     Simulation sim;
     ParallelSim psim(sim, 2, 10, 1);
     Counter* local = nullptr;
@@ -174,8 +180,8 @@ TEST(OwnershipCheck, LegalTrafficIsNotFlagged)
     psim.withPartition(0, [&] {
         sim.events().schedule(5, [&] {
             ++*local;
-            psim.post(1, sim.curTick() + 10,
-                      PostFn([&] { ++*remote; }));
+            psim.postArbitrated(arbiter, 0, 1,
+                                makeDelivery([&] { ++*remote; }));
         });
     });
     psim.run();

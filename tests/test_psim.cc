@@ -7,8 +7,10 @@
  * byte-identical stats JSON for one worker thread and for many — the
  * schedule is deterministic by construction, so thread count must be
  * unobservable. The unit tests pin the mechanisms that property rests
- * on: mailbox merge order at window barriers, worker-pool epoch
- * semantics, sync-window bounds and the queue-id handle.
+ * on: arbitration order and edge floors at window barriers,
+ * worker-pool epoch semantics (one epoch per window), sync-window
+ * bounds and the queue-id handle. ParallelGolden pins the schedule
+ * itself across builds.
  *
  * FAMSIM_THREADS (when set and >= 2) selects the "many threads" side
  * of the determinism comparisons, so CI can re-run the suite at
@@ -18,10 +20,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
-#include <fstream>
+#include <memory>
 #include <string>
-#include <tuple>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "arch/system.hh"
@@ -211,29 +215,6 @@ TEST(ParallelDeterminismExtra, TraceReplayIsThreadCountInvariant)
 
 // ----------------------------------------------- parallel goldens
 
-/**
- * Compare @p actual with tests/golden/parallel.<name>.json, or rewrite
- * the file under FAMSIM_UPDATE_GOLDEN.
- */
-void
-expectParallelGolden(const std::string& name, const std::string& actual)
-{
-    const std::string path = test::goldenPath("parallel." + name);
-    if (test::updateRequested()) {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        ASSERT_TRUE(out) << "cannot write golden " << path;
-        out << actual;
-        GTEST_SKIP() << "golden updated: " << path;
-    }
-    const std::string expected = test::readFile(path);
-    ASSERT_FALSE(expected.empty())
-        << "missing golden " << path
-        << " (regenerate with FAMSIM_UPDATE_GOLDEN=1)";
-    EXPECT_EQ(expected, actual)
-        << "the partitioned kernel's schedule changed for '" << name
-        << "'; if intentional, regenerate with FAMSIM_UPDATE_GOLDEN=1";
-}
-
 /** Stats JSON of one System run on the partitioned kernel. */
 std::string
 parallelStatsJson(const SystemConfig& config, unsigned threads)
@@ -253,106 +234,78 @@ parallelStatsJson(const SystemConfig& config, unsigned threads)
  */
 TEST(ParallelGolden, Fig16FourNodes)
 {
-    expectParallelGolden(
-        "fig16_num_nodes.n4",
+    test::expectGolden(
+        "parallel.fig16_num_nodes.n4",
         runScenarioJson(
             SweepRegistry::paperPoints().byName("fig16_num_nodes.n4"), 2));
 }
 
 TEST(ParallelGolden, RuntimeBrokerFaults)
 {
-    expectParallelGolden("runtime_faults",
-                         parallelStatsJson(runtimeFaultConfig(), 2));
+    test::expectGolden("parallel.runtime_faults",
+                       parallelStatsJson(runtimeFaultConfig(), 2));
 }
 
 TEST(ParallelGolden, MigrationUnderLoad)
 {
-    expectParallelGolden("migration_under_load",
-                         parallelStatsJson(migrationUnderLoadConfig(), 2));
+    test::expectGolden("parallel.migration_under_load",
+                       parallelStatsJson(migrationUnderLoadConfig(), 2));
 }
 
-// ------------------------------------------------ mailbox merge order
+// --------------------------------------------- arbitrated deliveries
 
 /**
- * Cross-partition posts colliding on one destination must execute in
- * (tick, srcPartition, seq) order, independent of worker count.
+ * Test arbiter: delivers every send a fixed @p delay after it left,
+ * recording (sendTick, channel) in arbitration order.
  */
-std::vector<std::tuple<Tick, unsigned, int>>
-runMergeProbe(unsigned threads)
+class DelayArbiter : public Arbiter
 {
-    Simulation sim;
-    constexpr Tick kLookahead = 100;
-    ParallelSim psim(sim, /*partitions=*/3, kLookahead, threads);
+  public:
+    explicit DelayArbiter(Tick delay) : delay_(delay) {}
 
-    std::vector<std::tuple<Tick, unsigned, int>> order;
-    auto record = [&](unsigned src, int seq) {
-        return [&order, &sim, src, seq] {
-            order.emplace_back(sim.curTick(), src, seq);
-        };
-    };
+    Tick
+    arbitrate(unsigned channel, Tick sent) override
+    {
+        order.emplace_back(sent, channel);
+        return sent + delay_;
+    }
 
-    // Partitions 1 and 2 each send two messages at tick 5, all
-    // delivered at tick 105 on partition 0; partition 2 additionally
-    // sends an earlier-tick message that must run first despite being
-    // posted from the highest source id.
-    psim.withPartition(1, [&] {
-        sim.events().schedule(5, [&psim, record] {
-            psim.post(0, 105, record(1, 0));
-            psim.post(0, 105, record(1, 1));
-        });
-    });
-    psim.withPartition(2, [&] {
-        sim.events().schedule(5, [&psim, record] {
-            psim.post(0, 105, record(2, 0));
-            psim.post(0, 105, record(2, 1));
-        });
-        sim.events().schedule(4, [&psim, record] {
-            psim.post(0, 104, record(2, -1));
-        });
-    });
-    psim.run();
-    return order;
-}
+    std::vector<std::pair<Tick, unsigned>> order;
 
-TEST(Mailbox, BarrierDrainMergesInTickSourceSeqOrder)
-{
-    using Entry = std::tuple<Tick, unsigned, int>;
-    std::vector<Entry> expected{
-        Entry{104, 2, -1}, Entry{105, 1, 0}, Entry{105, 1, 1},
-        Entry{105, 2, 0}, Entry{105, 2, 1},
-    };
-    EXPECT_EQ(runMergeProbe(1), expected);
-    EXPECT_EQ(runMergeProbe(3), expected) << "merge order must not "
-                                             "depend on worker count";
-}
+  private:
+    Tick delay_;
+};
 
-/** Arbitrated sends drain in (sendTick, src, seq) order and receive
- *  the sender's tick, not the drain-time tick. */
+/** Arbitration runs in (sendTick, src, seq) order on the sender's
+ *  tick, not the barrier's, and the deliveries reach the destination
+ *  at the returned ticks in that same order. */
 TEST(Mailbox, ArbitratedDrainUsesSenderTickOrder)
 {
     Simulation sim;
     ParallelSim psim(sim, /*partitions=*/3, /*lookahead=*/50, 2);
+    DelayArbiter arbiter(50);
 
-    std::vector<std::pair<Tick, unsigned>> order;
-    auto arb = [&](unsigned src) {
-        return [&order, &sim, &psim, src](Tick sent) {
-            order.emplace_back(sent, src);
-            // Contract: schedule the delivery >= sent + lookahead.
-            sim.events().schedule(sent + 50, [] {});
+    // The channel carries the source id, so the arbiter's record
+    // shows which source each send came from.
+    std::vector<std::pair<Tick, unsigned>> delivered;
+    auto send = [&](unsigned src) {
+        return [&psim, &sim, &arbiter, &delivered, src] {
+            psim.postArbitrated(arbiter, src, 0, makeDelivery([&, src] {
+                delivered.emplace_back(sim.curTick(), src);
+            }));
         };
     };
-    psim.withPartition(2, [&] {
-        sim.events().schedule(7, [&psim, arb] { psim.postArbitrated(0, arb(2)); });
-    });
+    psim.withPartition(2, [&] { sim.events().schedule(7, send(2)); });
     psim.withPartition(1, [&] {
-        sim.events().schedule(7, [&psim, arb] { psim.postArbitrated(0, arb(1)); });
-        sim.events().schedule(3, [&psim, arb] { psim.postArbitrated(0, arb(1)); });
+        sim.events().schedule(7, send(1));
+        sim.events().schedule(3, send(1));
     });
     psim.run();
 
-    std::vector<std::pair<Tick, unsigned>> expected{
-        {3, 1}, {7, 1}, {7, 2}};
-    EXPECT_EQ(order, expected);
+    EXPECT_EQ(arbiter.order, (std::vector<std::pair<Tick, unsigned>>{
+                                 {3, 1}, {7, 1}, {7, 2}}));
+    EXPECT_EQ(delivered, (std::vector<std::pair<Tick, unsigned>>{
+                             {53, 1}, {57, 1}, {57, 2}}));
 }
 
 /** Lookahead violations are simulator bugs and must be caught. */
@@ -361,12 +314,13 @@ TEST(Mailbox, PostBelowLookaheadPanics)
     ScopedThrowOnError throw_on_error;
     Simulation sim;
     ParallelSim psim(sim, 2, /*lookahead=*/100, 1);
+    DelayArbiter arbiter(50);
     psim.withPartition(0, [&] {
         sim.events().schedule(10, [&] {
-            EXPECT_THROW(psim.post(1, 50, [] {}), SimError);
+            psim.postArbitrated(arbiter, 0, 1, makeDelivery([] {}));
         });
     });
-    psim.run();
+    EXPECT_THROW(psim.run(), SimError);
 }
 
 // ---------------------------------------------------- global barrier ops
@@ -410,6 +364,7 @@ TEST(WorkerPool, EveryTaskRunsExactlyOncePerEpoch)
         for (std::size_t t = 0; t < kTasks; ++t)
             EXPECT_EQ(counts[t].load(), 1) << "task " << t;
     }
+    EXPECT_EQ(pool.epochs(), 50u);
 }
 
 TEST(WorkerPool, SingleThreadRunsInline)
@@ -419,6 +374,69 @@ TEST(WorkerPool, SingleThreadRunsInline)
     pool.runEpoch(4, [&](std::size_t task) { ran.push_back(task); });
     EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2, 3}));
     pool.runEpoch(0, [&](std::size_t) { FAIL() << "no tasks expected"; });
+    EXPECT_EQ(pool.epochs(), 1u) << "an empty epoch is not counted";
+}
+
+/**
+ * Many short epochs with varying task counts (zero included). Tasks
+ * write plain, non-atomic slots that the caller reads right after
+ * runEpoch and the next epoch overwrites, so a missing release/acquire
+ * edge in the barrier shows up as a stale value here and as a data
+ * race under TSan.
+ */
+TEST(WorkerPool, ManyShortEpochsPublishPlainWrites)
+{
+    WorkerPool pool(4);
+    constexpr std::size_t kMaxTasks = 37;
+    constexpr std::uint64_t kRounds = 12000;
+    std::vector<std::uint64_t> slots(kMaxTasks, 0);
+    std::uint64_t nonEmpty = 0;
+    for (std::uint64_t round = 1; round <= kRounds; ++round) {
+        const std::size_t tasks = round % kMaxTasks;
+        pool.runEpoch(tasks, [&](std::size_t task) {
+            slots[task] = round * kMaxTasks + task;
+        });
+        nonEmpty += tasks > 0 ? 1 : 0;
+        for (std::size_t t = 0; t < tasks; ++t)
+            ASSERT_EQ(slots[t], round * kMaxTasks + t) << "round " << round;
+    }
+    EXPECT_EQ(pool.epochs(), nonEmpty);
+}
+
+/** Workers idle past the spin budget park; an epoch and the shutdown
+ *  must still wake them promptly. */
+TEST(WorkerPool, ParkedWorkersWakeAndShutDownPromptly)
+{
+    using std::chrono::steady_clock;
+    auto pool = std::make_unique<WorkerPool>(4);
+    std::atomic<int> ran{0};
+    auto count = [&](std::size_t) { ran.fetch_add(1); };
+    // kSpinBudget pause instructions take well under a millisecond.
+    const auto park = [] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    };
+    park();
+    pool->runEpoch(8, count);
+    EXPECT_EQ(ran.load(), 8);
+    park();
+    const auto start = steady_clock::now();
+    pool.reset();
+    EXPECT_LT(steady_clock::now() - start, std::chrono::seconds(1));
+}
+
+/** Every window is exactly one pool epoch: the inbox flush and the
+ *  window's execution share one task. */
+TEST(WorkerPool, OneEpochPerWindow)
+{
+    const Scenario& scenario =
+        SweepRegistry::paperPoints().byName("fig16_num_nodes.n4");
+    for (unsigned threads : {2u, 4u}) {
+        System system(scenario.config);
+        system.run(threads);
+        EXPECT_GT(system.parallelWindows(), 0u);
+        EXPECT_EQ(system.parallelPoolEpochs(), system.parallelWindows())
+            << threads << " threads";
+    }
 }
 
 // -------------------------------------------------- per-edge lookahead
@@ -461,26 +479,45 @@ TEST(PerEdgeLookahead, TopologyLaysOutNodesMediaBroker)
     psim.run();
 }
 
-/** post() enforces the (src, dst) edge floor, not a single global
- *  lookahead — and panics outright on edgeless pairs. */
-TEST(PerEdgeLookahead, PostsEnforceTheEdgeFloors)
+/**
+ * Run one arbitrated send on famTopology() from partition @p src to
+ * @p dst at tick 10, delivered @p delay later. @return true when the
+ * kernel rejected it (edgeless pair at the send, or a delivery under
+ * the edge lookahead at the barrier).
+ */
+bool
+arbitratedSendFails(std::uint32_t src, std::uint32_t dst, Tick delay)
 {
     ScopedThrowOnError throw_on_error;
     Simulation sim;
     ParallelSim psim(sim, famTopology(), 1);
-    psim.withPartition(0, [&] {
+    DelayArbiter arbiter(delay);
+    psim.withPartition(src, [&] {
         sim.events().schedule(10, [&] {
-            // node -> media rides the fabric edge (100)...
-            EXPECT_THROW(psim.post(2, 109, [] {}), SimError);
-            psim.post(2, 110, [] {});
-            // ...node -> broker the service edge (1000)...
-            EXPECT_THROW(psim.post(4, 110, [] {}), SimError);
-            psim.post(4, 1010, [] {});
-            // ...and node -> node has no edge at all.
-            EXPECT_THROW(psim.post(1, 100000, [] {}), SimError);
+            psim.postArbitrated(arbiter, 0, dst, makeDelivery([] {}));
         });
     });
-    psim.run();
+    try {
+        psim.run();
+    } catch (const SimError&) {
+        return true;
+    }
+    return false;
+}
+
+/** Arbitrated deliveries must clear the (src, dst) edge floor, not a
+ *  single global lookahead — and edgeless pairs are rejected at the
+ *  send. */
+TEST(PerEdgeLookahead, PostsEnforceTheEdgeFloors)
+{
+    // node -> media rides the fabric edge (100)...
+    EXPECT_TRUE(arbitratedSendFails(0, 2, 99));
+    EXPECT_FALSE(arbitratedSendFails(0, 2, 100));
+    // ...node -> broker the service edge (1000)...
+    EXPECT_TRUE(arbitratedSendFails(0, 4, 999));
+    EXPECT_FALSE(arbitratedSendFails(0, 4, 1000));
+    // ...and node -> node has no edge at all.
+    EXPECT_TRUE(arbitratedSendFails(0, 1, 100000));
 }
 
 /**

@@ -48,24 +48,7 @@ class ScenarioGolden : public testing::TestWithParam<std::string>
 TEST_P(ScenarioGolden, MatchesGoldenJson)
 {
     const Scenario& scenario = findScenario(GetParam());
-    const std::string actual = runScenarioJson(scenario);
-    const std::string path = goldenPath(scenario.name);
-
-    if (updateRequested()) {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        ASSERT_TRUE(out) << "cannot write golden " << path;
-        out << actual;
-        GTEST_SKIP() << "golden updated: " << path;
-    }
-
-    const std::string expected = readFile(path);
-    ASSERT_FALSE(expected.empty())
-        << "missing golden " << path
-        << " (regenerate with FAMSIM_UPDATE_GOLDEN=1)";
-    EXPECT_EQ(expected, actual)
-        << "scenario '" << scenario.name
-        << "' diverged from its golden; if intentional, regenerate "
-           "with FAMSIM_UPDATE_GOLDEN=1 and commit the diff";
+    test::expectGolden(scenario.name, runScenarioJson(scenario));
 }
 
 std::string
