@@ -424,18 +424,29 @@ TEST(WorkerPool, ParkedWorkersWakeAndShutDownPromptly)
     EXPECT_LT(steady_clock::now() - start, std::chrono::seconds(1));
 }
 
-/** Every window is exactly one pool epoch: the inbox flush and the
- *  window's execution share one task. */
+/**
+ * Every window is exactly one pool epoch: the inbox flush and the
+ * window's execution share one task. The window counts themselves are
+ * pinned too — the host-independent cadence of the kernel. fig16 n4
+ * steps at the fabric edge (450 ns < the 2 us broker edge); fig15
+ * ns3000 steps at the broker edge (2 us < the 2.95 us fabric leg).
+ */
 TEST(WorkerPool, OneEpochPerWindow)
 {
-    const Scenario& scenario =
-        SweepRegistry::paperPoints().byName("fig16_num_nodes.n4");
-    for (unsigned threads : {2u, 4u}) {
-        System system(scenario.config);
-        system.run(threads);
-        EXPECT_GT(system.parallelWindows(), 0u);
-        EXPECT_EQ(system.parallelPoolEpochs(), system.parallelWindows())
-            << threads << " threads";
+    const std::pair<const char*, std::uint64_t> pinned[] = {
+        {"fig16_num_nodes.n4", 1425},
+        {"fig15_fabric_latency.ns3000", 1300},
+    };
+    for (const auto& [name, windows] : pinned) {
+        const Scenario& scenario = SweepRegistry::paperPoints().byName(name);
+        for (unsigned threads : {2u, 4u}) {
+            System system(scenario.config);
+            system.run(threads);
+            EXPECT_EQ(system.parallelWindows(), windows)
+                << name << " at " << threads << " threads";
+            EXPECT_EQ(system.parallelPoolEpochs(), system.parallelWindows())
+                << name << " at " << threads << " threads";
+        }
     }
 }
 
