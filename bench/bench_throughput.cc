@@ -171,14 +171,12 @@ timeFig12()
  * acceptance anchors) and the one-node fig12 base point (where
  * per-window overhead shows most). threads = 0 is the serial
  * reference; >= 1 the conservative-window kernel. Parallel runs also
- * report the window (= barrier round) count and how many of those
- * windows the adaptive horizon widened — the cadence data behind the
- * 64-node barrier question.
+ * report the window (= barrier round) count — the cadence data behind
+ * the 64-node barrier question.
  */
 struct KernelRun {
     double seconds = 0.0;
     std::uint64_t windows = 0;
-    std::uint64_t widened = 0;
 };
 
 KernelRun
@@ -194,7 +192,6 @@ timeKernel(const Scenario& scenario, unsigned threads, int reps,
         system.run(threads);
         g_sink = g_sink + system.sim().stats().jsonString().size();
         run.windows = system.parallelWindows();
-        run.widened = system.parallelWidenedWindows();
     });
     return run;
 }
@@ -412,8 +409,6 @@ main(int argc, char** argv)
     }
     report.addSummary("windows_fig16n16_t4",
                       static_cast<double>(psim_t[2].windows));
-    report.addSummary("windows_widened_fig16n16_t4",
-                      static_cast<double>(psim_t[2].widened));
     report.addSummary("profile_fig16n16_t4_wall_s",
                       prof16.wallSeconds());
     report.addSummary("profile_fig16n16_t4_exec_s",
@@ -433,9 +428,6 @@ main(int argc, char** argv)
                           scaled[p][0].seconds / scaled[p][1].seconds);
         report.addSummary(std::string("windows_") + kScaledTag[p] + "_t4",
                           static_cast<double>(scaled[p][1].windows));
-        report.addSummary(std::string("windows_widened_") +
-                              kScaledTag[p] + "_t4",
-                          static_cast<double>(scaled[p][1].widened));
     }
     for (int p = 0; p < 3; ++p) {
         report.addSummary(std::string("construct_s_fig16") +

@@ -352,7 +352,6 @@ System::run(unsigned threads)
     // Cadence telemetry belongs to one run; a serial run reports zero
     // windows.
     parallelWindows_ = 0;
-    parallelWidenedWindows_ = 0;
     parallelPoolEpochs_ = 0;
     Profiler::Timer wall;
     if (threads > 0)
@@ -362,7 +361,7 @@ System::run(unsigned threads)
     if (Profiler* prof = sim_.profiler()) {
         prof->setThreads(threads);
         prof->setWall(wall.seconds());
-        prof->setWindows(parallelWindows_, parallelWidenedWindows_);
+        prof->setWindows(parallelWindows_);
     }
 }
 
@@ -496,7 +495,6 @@ System::runParallel(unsigned threads)
 
     psim.run(); // drains every queue, inbox and barrier op
     parallelWindows_ = psim.epoch();
-    parallelWidenedWindows_ = psim.widenedEpochs();
     parallelPoolEpochs_ = psim.poolEpochs();
 
     unsigned done = finished.load(std::memory_order_relaxed);

@@ -176,11 +176,11 @@ class System
      *        partition per node, one per FAM media module, and one for
      *        the broker, synchronized through a per-edge lookahead
      *        matrix (node<->media edges at the fabric latency, broker
-     *        edges at the fault service latency) with adaptive window
-     *        widening. Results are byte-identical across thread counts
-     *        >= 1 (the kernel's schedule is deterministic) but
-     *        intentionally not identical to the serial schedule — see
-     *        DESIGN.md "Parallel kernel".
+     *        edges at the fault service latency), in fixed windows
+     *        one smallest edge wide. Results are byte-identical across
+     *        thread counts >= 1 (the kernel's schedule is
+     *        deterministic) but intentionally not identical to the
+     *        serial schedule — see DESIGN.md "Parallel kernel".
      */
     void run(unsigned threads = 0);
 
@@ -211,11 +211,11 @@ class System
     {
         return parallelWindows_;
     }
-    /** Of those, windows the adaptive horizon opened wider than the
-     *  base lookahead. */
+    /** Always 0: no window is wider than the base lookahead. Kept
+     *  because perfbench/famsim_bench.cc reports it as psim.widened. */
     [[nodiscard]] std::uint64_t parallelWidenedWindows() const
     {
-        return parallelWidenedWindows_;
+        return 0;
     }
     /** Worker-pool epochs of the last parallel run: one per window. */
     [[nodiscard]] std::uint64_t parallelPoolEpochs() const
@@ -278,7 +278,6 @@ class System
 
     unsigned finished_ = 0;
     std::uint64_t parallelWindows_ = 0;
-    std::uint64_t parallelWidenedWindows_ = 0;
     std::uint64_t parallelPoolEpochs_ = 0;
 };
 

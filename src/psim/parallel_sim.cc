@@ -6,19 +6,6 @@
 #include "sim/trace_sink.hh"
 
 namespace famsim {
-namespace {
-
-/** Smallest finite entry of a lookahead matrix row. */
-Tick
-rowMin(const std::array<Tick, 3>& row)
-{
-    Tick min = ParallelSim::kNever;
-    for (Tick la : row)
-        min = std::min(min, la);
-    return min;
-}
-
-} // namespace
 
 ParallelSim::ParallelSim(Simulation& sim, const Topology& topo,
                          unsigned threads)
@@ -47,53 +34,21 @@ ParallelSim::ParallelSim(Simulation& sim, const Topology& topo,
     edge_[broker][node] = topo.brokerLookahead;
     edge_[mediaKind][broker] = topo.brokerLookahead;
     edge_[broker][mediaKind] = topo.brokerLookahead;
-    init(topo.nodes + topo.mediaModules + 1);
-}
-
-ParallelSim::ParallelSim(Simulation& sim, std::uint32_t partitions,
-                         Tick lookahead, unsigned threads)
-    : sim_(sim),
-      window_(lookahead),
-      pool_(std::max(1u, std::min(threads, partitions))),
-      nodes_(partitions),
-      media_(0)
-{
-    FAMSIM_ASSERT(partitions >= 1, "parallel kernel needs a partition");
-    // Uniform peers: every pair may exchange messages at the same
-    // floor, reproducing the pre-sharding single-lookahead kernel.
-    for (auto& row : edge_)
-        row.fill(lookahead);
-    init(partitions);
-}
-
-void
-ParallelSim::init(std::uint32_t partitions)
-{
     FAMSIM_ASSERT(!sim_.parallel(),
                   "a parallel kernel is already bound to this simulation");
+    const std::uint32_t partitions = topo.nodes + topo.mediaModules + 1;
     parts_.reserve(partitions);
     for (std::uint32_t p = 0; p < partitions; ++p)
         parts_.push_back(std::make_unique<NodeQueue>(p));
-    outBound_.reserve(partitions);
-    for (std::uint32_t p = 0; p < partitions; ++p)
-        outBound_.push_back(
-            rowMin(edge_[static_cast<std::size_t>(kindOf(p))]));
     arbIn_.resize(partitions);
-    globalIn_.resize(partitions + 1);
-    globalSeq_.assign(partitions + 1, 0);
+    globalIn_.resize(partitions);
+    globalSeq_.assign(partitions, 0);
     sim_.setParallel(this);
 }
 
 ParallelSim::~ParallelSim()
 {
     sim_.setParallel(nullptr);
-}
-
-std::uint32_t
-ParallelSim::sourceLane() const
-{
-    std::uint32_t current = currentPartition();
-    return current == kNoPartition ? partitions() : current;
 }
 
 void
@@ -144,13 +99,13 @@ ParallelSim::arbitrate()
 void
 ParallelSim::postGlobal(Tick due, std::function<void()> fn)
 {
-    std::uint32_t lane = sourceLane();
-    if (lane < partitions()) {
-        FAMSIM_ASSERT(due >= parts_[lane]->queue().curTick(),
-                      "global op due in the past");
-    }
-    globalIn_[lane].push_back(
-        GlobalOp{due, lane, globalSeq_[lane]++, std::move(fn)});
+    const std::uint32_t src = currentPartition();
+    FAMSIM_ASSERT(src != kNoPartition,
+                  "global op posted from outside a partition");
+    FAMSIM_ASSERT(due >= parts_[src]->queue().curTick(),
+                  "global op due in the past");
+    globalIn_[src].push_back(
+        GlobalOp{due, src, globalSeq_[src]++, std::move(fn)});
 }
 
 void
@@ -201,55 +156,34 @@ ParallelSim::runGlobalOpsThrough(Tick start)
                              static_cast<std::ptrdiff_t>(taken));
 }
 
-SyncWindow::Bounds
-ParallelSim::windowBounds() const
+Tick
+ParallelSim::minPendingTick() const
 {
-    // One pass over the partitions computes both the window anchor
-    // (the global minimum pending tick) and the adaptive end (the
-    // earliest cross-partition commitment: a partition's earliest
-    // pending event plus its smallest outgoing edge; partitions that
-    // never send place no bound at all, their events drain in
-    // whatever window covers them). The per-partition scans read each
-    // queue's next tick and its inbox minimum (this barrier's
-    // arbitrated deliveries) — the arbitration lanes are empty here,
-    // arbitrate() ran right before.
+    // Each partition's scan covers its queue and its inbox minimum
+    // (this barrier's deliveries: arbitrate() ran right before, so the
+    // arbitration lanes are empty). pendingGlobal_ is sorted by (due,
+    // src, seq), so its minimum is the first element.
     Tick next = EventQueue::kForever;
-    Tick horizon = SyncWindow::kTickMax;
-    for (std::uint32_t p = 0; p < parts_.size(); ++p) {
-        Tick mp = parts_[p]->minPendingTick();
-        if (mp == EventQueue::kForever)
-            continue;
-        next = std::min(next, mp);
-        horizon = std::min(horizon, SyncWindow::satAdd(mp, outBound_[p]));
-    }
-    // pendingGlobal_ is sorted by (due, src, seq), so its minimum is
-    // the first element.
+    for (const auto& part : parts_)
+        next = std::min(next, part->minPendingTick());
     if (!pendingGlobal_.empty())
         next = std::min(next, pendingGlobal_.front().due);
-    if (next == EventQueue::kForever)
-        return SyncWindow::Bounds{next, SyncWindow::kTickMax};
-    // Global ops (sorted by due, so ops due <= next form a prefix —
-    // and, fault dues being conservative, every such due is `next`
-    // itself or a stale must-not-schedule warmup mark): a prefix op
-    // runs at this barrier and may schedule events from `next` onward
-    // on any partition, committing no earlier than next + the
-    // smallest edge anywhere. The first op due *after* the start caps
+    return next;
+}
+
+Tick
+ParallelSim::nextGlobalDueAfter(Tick start) const
+{
+    // Ops due at or before the start form a prefix (the list is sorted
+    // by due) and run at this barrier; the first op due after it caps
     // the window so it runs exactly at its own barrier, never
     // mid-window — readers of the state it mutates stay causally
     // ordered.
-    if (!pendingGlobal_.empty() && pendingGlobal_.front().due <= next) {
-        horizon = std::min(horizon,
-                           SyncWindow::satAdd(next, window_.lookahead()));
-    }
     for (const GlobalOp& op : pendingGlobal_) {
-        if (op.due > next) {
-            horizon = std::min(horizon, op.due);
-            break;
-        }
+        if (op.due > start)
+            return op.due;
     }
-    FAMSIM_ASSERT(horizon > next, "no commit horizon past the window "
-                                  "start");
-    return SyncWindow::Bounds{next, horizon};
+    return SyncWindow::kTickMax;
 }
 
 std::uint64_t
@@ -278,24 +212,21 @@ ParallelSim::run()
         // in their destination inboxes, so the window scan below sees
         // real delivery ticks instead of conservative floors.
         arbitrate();
-        SyncWindow::Bounds bounds = windowBounds();
-        if (bounds.start == EventQueue::kForever) {
+        const Tick next = minPendingTick();
+        if (next == EventQueue::kForever) {
             if (prof)
                 prof->addCoordinator(coord.seconds());
             break;
         }
-        auto [start, end] = window_.open(bounds.start, bounds.end);
+        auto [start, end] = window_.open(next, nextGlobalDueAfter(next));
         runGlobalOpsThrough(start);
         if (prof)
             prof->addCoordinator(coord.seconds());
         if (trace) {
             // One span per window on the broker lane (the
-            // coordinator's home); arg = 1 when the adaptive horizon
-            // widened past the base lookahead.
-            const bool widened =
-                end > SyncWindow::satAdd(start, window_.lookahead());
+            // coordinator's home).
             trace->span(TraceSink::kPsim, brokerPartition(),
-                        "psim.window", start, end, widened ? 1 : 0);
+                        "psim.window", start, end);
         }
         // One epoch per window: each task flushes its partition's
         // inbox, then executes the window. The coordinator, the only

@@ -29,15 +29,11 @@
  * and therefore every statistic — is byte-identical for any worker
  * count.
  *
- * Windows are adaptive: the coordinator opens each window at the
- * global minimum pending tick and extends it to the earliest possible
- * cross-partition *commitment* — min over partitions p of (earliest
- * pending tick of p + p's smallest outgoing edge lookahead), clamped
- * by pending global-op due ticks. A partition with pending work
- * bounded only by a large outgoing lookahead (or none at all, if it
- * never sends) no longer forces fabric-latency-sized steps on
- * everyone else. See DESIGN.md "Parallel kernel" for the safety
- * argument.
+ * Windows have a fixed width, the base lookahead (the smallest edge
+ * of the matrix): each opens at the global minimum pending tick and
+ * ends one base lookahead later, or at the due tick of the next
+ * pending global op when that comes first. See DESIGN.md "Parallel
+ * kernel" for the safety argument.
  *
  * Operations that must mutate state read concurrently by several
  * partitions (broker fault resolution: the FAM pool allocator, the
@@ -109,22 +105,12 @@ class ParallelSim
     };
 
     /**
-     * Sharded-topology kernel. Binds itself to @p sim
-     * (Simulation::parallel()) for its lifetime; unbinds on
-     * destruction.
+     * Binds itself to @p sim (Simulation::parallel()) for its
+     * lifetime; unbinds on destruction.
      *
      * @param threads worker threads, caller included (>= 1).
      */
     ParallelSim(Simulation& sim, const Topology& topo, unsigned threads);
-
-    /**
-     * Uniform test topology: @p partitions peer partitions, every edge
-     * with the same @p lookahead, the last partition doubling as the
-     * global-op scheduling context. Window behavior matches the
-     * pre-sharding kernel exactly.
-     */
-    ParallelSim(Simulation& sim, std::uint32_t partitions, Tick lookahead,
-                unsigned threads);
 
     ~ParallelSim();
 
@@ -181,11 +167,6 @@ class ParallelSim
     /** The smallest finite edge lookahead (the base window width). */
     [[nodiscard]] Tick lookahead() const { return window_.lookahead(); }
     [[nodiscard]] std::uint64_t epoch() const { return window_.epoch(); }
-    /** Windows that opened wider than the base lookahead. */
-    [[nodiscard]] std::uint64_t widenedEpochs() const
-    {
-        return window_.widened();
-    }
     [[nodiscard]] unsigned threads() const { return pool_.threads(); }
     /** WorkerPool epochs run so far: one per window. */
     [[nodiscard]] std::uint64_t poolEpochs() const
@@ -261,7 +242,8 @@ class ParallelSim
      * queue has executed past @p due when the op runs. An op posted
      * with due inside its own window (the warmup reset) runs at the
      * next barrier but must not schedule: the queues have already run
-     * past its due tick.
+     * past its due tick. Only callable from inside a partition (an
+     * event or another barrier op).
      */
     void postGlobal(Tick due, std::function<void()> fn);
 
@@ -320,19 +302,18 @@ class ParallelSim
         check::PhaseScope phase_;
     };
 
-    void init(std::uint32_t partitions);
-
-    /** Source lane index for the calling context (main thread posts
-     *  from the virtual lane `partitions()`). */
-    [[nodiscard]] std::uint32_t sourceLane() const;
+    /**
+     * The window anchor: the global minimum pending tick over every
+     * queue, inbox and barrier op (kForever when fully drained).
+     */
+    [[nodiscard]] Tick minPendingTick() const;
 
     /**
-     * One barrier-time pass over the pending state: the window anchor
-     * (global minimum pending tick; kForever start means fully
-     * drained) and the adaptive end (earliest possible cross-partition
-     * commitment, clamped by pending global-op dues).
+     * Due tick of the first barrier op due after @p start (kTickMax if
+     * none): the window must end there so the op runs at its own
+     * barrier.
      */
-    [[nodiscard]] SyncWindow::Bounds windowBounds() const;
+    [[nodiscard]] Tick nextGlobalDueAfter(Tick start) const;
 
     /** Merge and arbitrate every queued send into the destination
      *  inboxes, leaving the lanes empty (coordinator only). */
@@ -350,8 +331,6 @@ class ParallelSim
     std::uint32_t media_ = 0; //!< media partition count
     /** Per-edge lookahead floors, indexed by (src Kind, dst Kind). */
     std::array<std::array<Tick, 3>, 3> edge_{};
-    /** Per-partition minimum outgoing edge lookahead. */
-    std::vector<Tick> outBound_;
 
     std::vector<std::unique_ptr<NodeQueue>> parts_;
 
@@ -362,8 +341,8 @@ class ParallelSim
     std::vector<std::pair<std::pair<Tick, std::uint32_t>, std::uint32_t>>
         arbScratch_;
 
-    /** Barrier-op lanes, one per source partition plus the main
-     *  thread; single-producer, merged at barriers. */
+    /** Barrier-op lanes, one per source partition; single-producer,
+     *  merged at barriers. */
     std::vector<std::vector<GlobalOp>> globalIn_;
     /** Per-lane monotonic sequence stamps. */
     std::vector<std::uint64_t> globalSeq_;

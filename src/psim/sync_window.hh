@@ -3,27 +3,22 @@
  * SyncWindow — conservative-window bookkeeping for the parallel
  * kernel.
  *
- * The kernel advances in windows. The classic scheme uses a fixed
- * width: the smallest latency any cross-partition interaction can have
- * (the fabric's one-way latency for request/response traffic, the
- * broker's fault service latency for system-level faults). A partition
- * executing events in [start, start + lookahead) can only generate
- * cross-partition work at or after start + lookahead, i.e. in a later
- * window — so all partitions can execute one window concurrently with
- * no locks, and cross-partition messages only need delivering at the
- * window barriers (the classic null-message-free windowed conservative
- * PDES scheme).
+ * The kernel advances in fixed-width windows: the classic
+ * null-message-free windowed conservative PDES scheme. The width is
+ * the base lookahead, the smallest latency any cross-partition
+ * interaction can have (the smallest edge of the per-edge lookahead
+ * matrix: the fabric's one-way latency for request/response traffic,
+ * or the broker's fault service latency for system-level faults). A
+ * partition executing events in [start, start + lookahead) can only
+ * generate cross-partition work at or after start + lookahead, i.e. in
+ * a later window, whichever edge it takes — so all partitions can
+ * execute one window concurrently with no locks, and cross-partition
+ * messages only need delivering at the window barriers.
  *
- * Since the sharded-partition kernel, windows are *adaptive*: the
- * coordinator computes the earliest cross-partition commitment any
- * partition can make — min over partitions p of (earliest pending tick
- * of p + p's smallest outgoing edge lookahead) — and passes it to
- * open() as the window end. When the partitions that would close the
- * window soonest are idle, the window widens toward the next real
- * commitment instead of stepping one lookahead at a time, cutting the
- * barrier count on idle channels. Windows are anchored at the global
- * minimum pending tick, so fully idle stretches of simulated time are
- * still skipped in one hop.
+ * A window opens at the global minimum pending tick, so fully idle
+ * stretches of simulated time are skipped in one hop. It may be cut
+ * short by a cap (the kernel passes the due tick of the next global
+ * barrier op, which must run at its own barrier), never widened.
  *
  * Arithmetic near the Tick horizon saturates: next_pending + lookahead
  * must never wrap (a wrapped end would open a backwards window), so
@@ -33,6 +28,7 @@
 #ifndef FAMSIM_PSIM_SYNC_WINDOW_HH
 #define FAMSIM_PSIM_SYNC_WINDOW_HH
 
+#include <algorithm>
 #include <cstdint>
 
 #include "sim/logging.hh"
@@ -66,9 +62,6 @@ class SyncWindow
     /** Completed windows so far (the epoch counter). */
     [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
-    /** Windows that opened wider than the base lookahead (adaptive). */
-    [[nodiscard]] std::uint64_t widened() const { return widened_; }
-
     /** Half-open tick range of one window. */
     struct Bounds {
         Tick start;
@@ -77,45 +70,28 @@ class SyncWindow
 
     /**
      * Open the next window at the global minimum pending tick
-     * @p next_pending, with the fixed base width (saturated at the
-     * tick horizon), and bump the epoch. Windows never move backwards.
+     * @p next_pending and bump the epoch. The window is one base
+     * lookahead wide (saturated at the tick horizon), cut short at
+     * @p cap when that comes first. Windows never move backwards, and
+     * a window must not be empty.
      */
     [[nodiscard]] Bounds
-    open(Tick next_pending)
+    open(Tick next_pending, Tick cap = kTickMax)
     {
-        return open(next_pending, satAdd(next_pending, lookahead_));
-    }
-
-    /**
-     * Open the next window as [next_pending, commit_horizon), where
-     * @p commit_horizon is the earliest tick at which any partition
-     * could commit cross-partition work (already saturated by the
-     * caller via satAdd). Must be strictly after @p next_pending.
-     */
-    [[nodiscard]] Bounds
-    open(Tick next_pending, Tick commit_horizon)
-    {
-        FAMSIM_ASSERT(next_pending >= current_.start,
-                      "window moved backwards: ", next_pending, " < ",
-                      current_.start);
-        FAMSIM_ASSERT(commit_horizon > next_pending,
-                      "empty window: end ", commit_horizon,
+        FAMSIM_ASSERT(next_pending >= start_, "window moved backwards: ",
+                      next_pending, " < ", start_);
+        const Tick end = std::min(satAdd(next_pending, lookahead_), cap);
+        FAMSIM_ASSERT(end > next_pending, "empty window: end ", end,
                       " <= start ", next_pending);
         ++epoch_;
-        if (commit_horizon > satAdd(next_pending, lookahead_))
-            ++widened_;
-        current_ = Bounds{next_pending, commit_horizon};
-        return current_;
+        start_ = next_pending;
+        return Bounds{next_pending, end};
     }
-
-    /** Bounds of the most recently opened window. */
-    [[nodiscard]] const Bounds& current() const { return current_; }
 
   private:
     Tick lookahead_;
     std::uint64_t epoch_ = 0;
-    std::uint64_t widened_ = 0;
-    Bounds current_{0, 0};
+    Tick start_ = 0; //!< start of the most recently opened window
 };
 
 } // namespace famsim

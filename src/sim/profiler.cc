@@ -19,7 +19,6 @@ Profiler::writeJson(std::ostream& os, int indent) const
           "excluded from golden comparisons\",\n"
        << inner << "\"threads\": " << threads_ << ",\n"
        << inner << "\"windows\": " << windows_ << ",\n"
-       << inner << "\"widened\": " << widened_ << ",\n"
        << inner << "\"wall_s\": ";
     json::writeNumber(os, wall_);
     os << ",\n" << inner << "\"coordinator_s\": ";

@@ -5,11 +5,12 @@
  * The sim-time trace (trace_sink.hh) answers "what did the simulated
  * system do"; the profiler answers "what did the *host* spend its time
  * on": per-partition drain (inbox flush) and exec seconds per window,
- * the coordinator's serial sections (arbitration merge, window bounds,
- * global ops), and the whole run's wall clock. Everything here is
- * host-timing and therefore explicitly NONDETERMINISTIC — it is
- * exported as a separate "profile" block that is never part of golden
- * comparisons (see DESIGN.md "Observability layer").
+ * the coordinator's serial sections (arbitration merge, window scan,
+ * global ops), and the whole run's wall clock and window count.
+ * Everything here is host-timing and therefore explicitly
+ * NONDETERMINISTIC — it is exported as a separate "profile" block that
+ * is never part of golden comparisons (see DESIGN.md "Observability
+ * layer").
  *
  * Writer discipline mirrors the kernel's: each partition's accumulator
  * is written only by the worker that owns the partition during an
@@ -76,19 +77,14 @@ class Profiler
         parts_[partition].exec += seconds;
     }
 
-    /** Coordinator-serial time between epochs (arbitration, bounds,
-     *  global ops). */
+    /** Coordinator-serial time between epochs (arbitration, window
+     *  scan, global ops). */
     void addCoordinator(double seconds) { coordinator_ += seconds; }
 
     void setWall(double seconds) { wall_ = seconds; }
     void setThreads(unsigned threads) { threads_ = threads; }
 
-    void
-    setWindows(std::uint64_t windows, std::uint64_t widened)
-    {
-        windows_ = windows;
-        widened_ = widened;
-    }
+    void setWindows(std::uint64_t windows) { windows_ = windows; }
 
     [[nodiscard]] double wallSeconds() const { return wall_; }
     [[nodiscard]] std::uint64_t windows() const { return windows_; }
@@ -131,7 +127,6 @@ class Profiler
     double wall_ = 0.0;
     unsigned threads_ = 0;
     std::uint64_t windows_ = 0;
-    std::uint64_t widened_ = 0;
 };
 
 } // namespace famsim

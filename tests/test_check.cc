@@ -32,6 +32,9 @@ namespace {
 
 #if FAMSIM_CHECK
 
+/** Node 0, media module 1 and the broker (2); every edge 10 ticks. */
+constexpr ParallelSim::Topology kTopology{1, 1, 10, 10};
+
 /** Expect @p msg to name the owner, the accessor and the phase. */
 void
 expectDiagnostic(const std::string& msg, const std::string& owner,
@@ -47,7 +50,7 @@ expectDiagnostic(const std::string& msg, const std::string& owner,
 TEST(OwnershipCheck, CrossPartitionStatWriteFatals)
 {
     Simulation sim;
-    ParallelSim psim(sim, 2, 10, 1);
+    ParallelSim psim(sim, kTopology, 1);
     Counter* victim = nullptr;
     {
         check::WiringScope wire(1);
@@ -73,7 +76,7 @@ TEST(OwnershipCheck, CrossPartitionStatWriteFatals)
 TEST(OwnershipCheck, MidExecMailboxBypassFatals)
 {
     Simulation sim;
-    ParallelSim psim(sim, 2, 10, 1);
+    ParallelSim psim(sim, kTopology, 1);
     // Seed the bypass: mid-exec, partition 0 schedules straight onto
     // partition 1's queue instead of sending through the kernel.
     psim.withPartition(0, [&] {
@@ -129,7 +132,7 @@ TEST(OwnershipCheck, FiresIdenticallyOnEveryRun)
     std::string first;
     for (int round = 0; round < 3; ++round) {
         Simulation sim;
-        ParallelSim psim(sim, 2, 10, 1);
+        ParallelSim psim(sim, kTopology, 1);
         Counter* victim = nullptr;
         {
             check::WiringScope wire(1);
@@ -166,7 +169,7 @@ TEST(OwnershipCheck, LegalTrafficIsNotFlagged)
         }
     } arbiter;
     Simulation sim;
-    ParallelSim psim(sim, 2, 10, 1);
+    ParallelSim psim(sim, kTopology, 1);
     Counter* local = nullptr;
     Counter* remote = nullptr;
     {
@@ -195,7 +198,7 @@ TEST(OwnershipCheck, BarrierOpsMayTouchAnyPartition)
     // Barrier phase deliberately exempts them, so a warmup-style
     // cross-partition stat reset/bump must not trip the checker.
     Simulation sim;
-    ParallelSim psim(sim, 2, 10, 1);
+    ParallelSim psim(sim, kTopology, 1);
     Counter* owned = nullptr;
     {
         check::WiringScope wire(0);
@@ -216,7 +219,7 @@ TEST(OwnershipCheck, UnstampedObjectsAreNeverChecked)
     // unowned tags must stay permanently exempt.
     Simulation sim;
     Counter& c = sim.stats().counter("check.unowned", "no owner");
-    ParallelSim psim(sim, 2, 10, 1);
+    ParallelSim psim(sim, kTopology, 1);
     psim.withPartition(0, [&] {
         sim.events().schedule(5, [&] { ++c; });
     });

@@ -255,6 +255,16 @@ TEST(ParallelGolden, MigrationUnderLoad)
 // --------------------------------------------- arbitrated deliveries
 
 /**
+ * One node (partition 0), @p media media modules (partitions 1..media)
+ * and the broker (last), with every edge @p lookahead wide.
+ */
+ParallelSim::Topology
+uniformTopology(std::uint32_t media, Tick lookahead)
+{
+    return ParallelSim::Topology{1, media, lookahead, lookahead};
+}
+
+/**
  * Test arbiter: delivers every send a fixed @p delay after it left,
  * recording (sendTick, channel) in arbitration order.
  */
@@ -282,7 +292,7 @@ class DelayArbiter : public Arbiter
 TEST(Mailbox, ArbitratedDrainUsesSenderTickOrder)
 {
     Simulation sim;
-    ParallelSim psim(sim, /*partitions=*/3, /*lookahead=*/50, 2);
+    ParallelSim psim(sim, uniformTopology(/*media=*/2, /*lookahead=*/50), 2);
     DelayArbiter arbiter(50);
 
     // The channel carries the source id, so the arbiter's record
@@ -313,7 +323,7 @@ TEST(Mailbox, PostBelowLookaheadPanics)
 {
     ScopedThrowOnError throw_on_error;
     Simulation sim;
-    ParallelSim psim(sim, 2, /*lookahead=*/100, 1);
+    ParallelSim psim(sim, uniformTopology(1, /*lookahead=*/100), 1);
     DelayArbiter arbiter(50);
     psim.withPartition(0, [&] {
         sim.events().schedule(10, [&] {
@@ -328,7 +338,7 @@ TEST(Mailbox, PostBelowLookaheadPanics)
 TEST(GlobalOps, RunAtBarriersInDueSourceOrder)
 {
     Simulation sim;
-    ParallelSim psim(sim, 2, /*lookahead=*/100, 2);
+    ParallelSim psim(sim, uniformTopology(1, /*lookahead=*/100), 2);
 
     std::vector<std::pair<Tick, unsigned>> order;
     psim.withPartition(1, [&] {
@@ -347,6 +357,16 @@ TEST(GlobalOps, RunAtBarriersInDueSourceOrder)
     std::vector<std::pair<Tick, unsigned>> expected{
         {110, 0u}, {205, 0u}, {205, 1u}};
     EXPECT_EQ(order, expected);
+}
+
+/** Global ops come from inside a partition (an event or a barrier
+ *  op); a post from outside every partition is a caller bug. */
+TEST(GlobalOps, PostFromOutsideAPartitionPanics)
+{
+    ScopedThrowOnError throw_on_error;
+    Simulation sim;
+    ParallelSim psim(sim, uniformTopology(1, /*lookahead=*/100), 1);
+    EXPECT_THROW(psim.postGlobal(10, [] {}), SimError);
 }
 
 // ------------------------------------------------------- worker pool
@@ -532,34 +552,13 @@ TEST(PerEdgeLookahead, PostsEnforceTheEdgeFloors)
 }
 
 /**
- * Window ends follow the per-partition outgoing floors: a window
- * opened by media-only work extends one fabric lookahead past its
- * earliest pending event, exactly like node work — but a window
- * opened by work on a partition whose cheapest outgoing edge is the
- * broker's would extend a full service latency.
+ * Every window is one base lookahead (the fabric edge, 100) wide,
+ * whichever partition anchors it: broker-partition work, whose own
+ * cheapest outgoing edge is the 1000-tick broker edge, still steps
+ * 100 ticks at a time. The idle gap before the node event is skipped
+ * in one hop: [10, 110), [110, 210), ..., [510, 610), [900, 1000).
  */
-TEST(PerEdgeLookahead, WindowBoundsFollowTheMatrix)
-{
-    Simulation sim;
-    ParallelSim psim(sim, famTopology(), 1);
-    // Pending work on media module 0 only: window [7, 7 + 100).
-    psim.withPartition(2, [&] { sim.events().schedule(7, [] {}); });
-    psim.run();
-    EXPECT_EQ(psim.epoch(), 1u);
-    EXPECT_EQ(psim.queueOf(2).curTick(), 106u);
-}
-
-// --------------------------------------------------- adaptive windows
-
-/**
- * Adaptive widening: the window end is the earliest cross-partition
- * *commitment*, not start + base lookahead. Broker-partition work
- * (cheapest outgoing edge = 1000) spread over 5 base lookaheads plus
- * an idle-gapped node event all drain in a single window where the
- * fixed scheme would have paid a barrier per 100-tick step: the end
- * is min(10 + 1000, 900 + 100) = 1000.
- */
-TEST(AdaptiveWindow, IdleGapDrainsInOneEpoch)
+TEST(PerEdgeLookahead, WindowsAreOneBaseLookaheadWide)
 {
     Simulation sim;
     ParallelSim psim(sim, famTopology(), 1);
@@ -575,25 +574,8 @@ TEST(AdaptiveWindow, IdleGapDrainsInOneEpoch)
     psim.run();
     EXPECT_EQ(broker_events, 6u);
     EXPECT_TRUE(node_ran);
-    EXPECT_EQ(psim.epoch(), 1u) << "idle gap must drain in one window";
-    EXPECT_EQ(psim.widenedEpochs(), 1u);
-}
-
-/** The uniform (test) topology reproduces the fixed-width windows:
- *  same-tick spacing beyond the lookahead costs one epoch per hop. */
-TEST(AdaptiveWindow, UniformTopologyKeepsFixedWidth)
-{
-    Simulation sim;
-    ParallelSim psim(sim, /*partitions=*/2, /*lookahead=*/100, 1);
-    psim.withPartition(0, [&] {
-        sim.events().schedule(10, [] {});
-        sim.events().schedule(250, [] {});
-    });
-    psim.run();
-    // [10, 110) then [250, 350): the gap is skipped, the width is not
-    // widened (a uniform peer could send at any executed tick + 100).
-    EXPECT_EQ(psim.epoch(), 2u);
-    EXPECT_EQ(psim.widenedEpochs(), 0u);
+    EXPECT_EQ(psim.epoch(), 7u);
+    EXPECT_EQ(psim.queueOf(psim.brokerPartition()).curTick(), 999u);
 }
 
 // ------------------------------------------------------- sync window
@@ -621,15 +603,17 @@ TEST(SyncWindow, RejectsZeroLookaheadAndBackwardWindows)
     EXPECT_THROW((void)window.open(50), SimError);
 }
 
-TEST(SyncWindow, WidenedWindowsAreCounted)
+/** A cap below the base width ends the window early; a cap above it
+ *  changes nothing, so no window is ever wider than the lookahead. */
+TEST(SyncWindow, CapOnlyShortensTheWindow)
 {
     SyncWindow window(100);
-    auto bounds = window.open(10, 1000); // adaptive horizon
+    auto bounds = window.open(10, /*cap=*/60);
     EXPECT_EQ(bounds.start, 10u);
-    EXPECT_EQ(bounds.end, 1000u);
-    EXPECT_EQ(window.widened(), 1u);
-    bounds = window.open(2000, 2100); // exactly the base width
-    EXPECT_EQ(window.widened(), 1u);
+    EXPECT_EQ(bounds.end, 60u);
+    bounds = window.open(200, /*cap=*/1000);
+    EXPECT_EQ(bounds.start, 200u);
+    EXPECT_EQ(bounds.end, 300u);
     EXPECT_EQ(window.epoch(), 2u);
 }
 
@@ -658,7 +642,7 @@ TEST(SyncWindow, WindowEndSaturatesAtTheTickHorizon)
 TEST(QueueHandle, PartitionQueuesCarryTheirIdAndNextTick)
 {
     Simulation sim;
-    ParallelSim psim(sim, 3, /*lookahead=*/10, 1);
+    ParallelSim psim(sim, uniformTopology(1, /*lookahead=*/10), 1);
     EXPECT_EQ(psim.brokerPartition(), 2u);
     for (std::uint32_t p = 0; p < 3; ++p)
         EXPECT_EQ(psim.queueOf(p).id(), p);
