@@ -10,7 +10,7 @@
  *   famsim_cli [options]
  *     --bench <name>       benchmark profile (default mcf; see --list)
  *     --arch <a>           efam | ifam | deactw | deactn (default deactn)
- *     --instr <n>          instructions per core (default 300000)
+ *     --instr <n>          instructions per core, >= 1 (default 300000)
  *     --nodes <n>          compute nodes sharing the FAM (default 1)
  *     --cores <n>          cores per node (default 4)
  *     --stu-entries <n>    STU cache entries (default 1024)
@@ -277,7 +277,12 @@ main(int argc, char** argv)
         std::string arg = argv[i];
         if (arg == "--bench") bench = need("--bench");
         else if (arg == "--arch") arch_name = need("--arch");
-        else if (arg == "--instr") instr = uintArg("--instr");
+        else if (arg == "--instr") {
+            instr = uintArg("--instr");
+            if (instr == 0)
+                badValue(argv[0], "--instr", "0",
+                         "a positive instruction count");
+        }
         else if (arg == "--nodes")
             nodes = static_cast<unsigned>(uintArg("--nodes", kUnsignedMax));
         else if (arg == "--cores")

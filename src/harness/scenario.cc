@@ -96,6 +96,8 @@ uniqueTempTracePath(unsigned node, unsigned core, TraceFormat format)
  * round-trip — and doubles as the replay == synthesis lock: the
  * replayed prefix is exactly what the synthetic generator produces,
  * so the stats must match a plain StreamGen run of the same config.
+ * The registered pair drives the one binary decoder through a plain
+ * file and through a gzip stream.
  */
 Scenario
 makeTraceScenario(const std::string& tag, const StreamProfile& profile,
@@ -197,10 +199,9 @@ buildPaperRegistry()
     }
 
     // Trace-replay frontend locks (no paper counterpart — the
-    // ROADMAP's trace-driven workload axis): one uniform and one
-    // hot-skewed self-replay, the latter through the gzip backend
-    // when this build has zlib (the exported JSON is format-blind, so
-    // the golden is identical either way).
+    // ROADMAP's trace-driven workload axis): one uniform self-replay
+    // through a plain binary trace and one hot-skewed self-replay
+    // through a gzip trace.
     reg.add(makeTraceScenario(
         "uniform.selfreplay", profiles::uniformTest(32ull << 20),
         TraceFormat::Binary,
@@ -209,7 +210,7 @@ buildPaperRegistry()
     reg.add(makeTraceScenario(
         "mcf.selfreplay",
         profiles::byName("mcf"),
-        traceGzipSupported() ? TraceFormat::Gzip : TraceFormat::Binary,
+        TraceFormat::Gzip,
         "Hot-skewed mcf stream recorded to a gzip trace and "
         "self-replayed (trace frontend regression lock)"));
 

@@ -1,8 +1,7 @@
 #include "workload/trace.hh"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <exception>
 #include <filesystem>
@@ -11,11 +10,9 @@
 #include <set>
 #include <sstream>
 
-#include "sim/logging.hh"
-
-#if FAMSIM_HAVE_ZLIB
 #include <zlib.h>
-#endif
+
+#include "sim/logging.hh"
 
 namespace famsim {
 namespace {
@@ -24,14 +21,25 @@ namespace {
 // one version character, so future layouts stay distinguishable.
 constexpr char kMagicPrefix[11] = {'F', 'A', 'M', 'S', 'I', 'M',
                                    'T', 'R', 'A', 'C', 'E'};
+constexpr char kVersion = '2';
 constexpr std::size_t kMagicSize = sizeof(kMagicPrefix) + 1;
-constexpr std::size_t kV1HeaderSize = kMagicSize + 8;
-constexpr std::size_t kV2HeaderSize = kMagicSize + 16;
+constexpr std::size_t kHeaderSize = kMagicSize + 16;
 constexpr std::size_t kRecordSize = 13; // u64 vaddr + u32 gap + u8 flags
 
 constexpr std::uint8_t kFlagWrite = 1;
 constexpr std::uint8_t kFlagBlocking = 2;
 constexpr std::uint8_t kKnownFlags = kFlagWrite | kFlagBlocking;
+
+/** Header {magic, version, u64 record count, u64 footprint count}. */
+void
+encodeHeader(std::uint64_t count, std::uint64_t footprint_count,
+             unsigned char* out)
+{
+    std::memcpy(out, kMagicPrefix, sizeof(kMagicPrefix));
+    out[sizeof(kMagicPrefix)] = kVersion;
+    std::memcpy(out + kMagicSize, &count, 8);
+    std::memcpy(out + kMagicSize + 8, &footprint_count, 8);
+}
 
 void
 encodeRecord(const MemOpDesc& op, unsigned char* out)
@@ -87,19 +95,17 @@ textLine(const MemOpDesc& op)
     return os.str();
 }
 
-/** Parse an unsigned integer token (hex with 0x prefix or decimal). */
+/** Parse `[0-9]+` (decimal) or `0x[0-9a-fA-F]+` (hex) into a u64. */
 bool
 parseU64Token(const std::string& token, std::uint64_t& out)
 {
-    if (token.empty())
-        return false;
-    errno = 0;
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(token.c_str(), &end, 0);
-    if (errno == ERANGE || end != token.c_str() + token.size())
-        return false;
-    out = v;
-    return true;
+    const bool hex = token.size() > 2 && token.compare(0, 2, "0x") == 0;
+    const char* first = token.data() + (hex ? 2 : 0);
+    const char* last = token.data() + token.size();
+    // from_chars takes no sign, whitespace or prefix, so the whole
+    // token must be digits of the chosen base.
+    const auto [end, ec] = std::from_chars(first, last, out, hex ? 16 : 10);
+    return ec == std::errc() && end == last;
 }
 
 } // namespace
@@ -117,16 +123,6 @@ traceFormatForPath(const std::string& path)
     if (ends_with(".txt"))
         return TraceFormat::Text;
     return TraceFormat::Binary;
-}
-
-bool
-traceGzipSupported()
-{
-#if FAMSIM_HAVE_ZLIB
-    return true;
-#else
-    return false;
-#endif
 }
 
 // ===================================================== TraceWriter ==
@@ -192,10 +188,9 @@ class BinaryWriterImpl final : public TraceWriter::Impl
     void
     writeHeader(std::uint64_t count, std::uint64_t footprint_count)
     {
-        out_.write(kMagicPrefix, sizeof(kMagicPrefix));
-        out_.put('2');
-        writeU64(out_, count);
-        writeU64(out_, footprint_count);
+        unsigned char header[kHeaderSize];
+        encodeHeader(count, footprint_count, header);
+        out_.write(reinterpret_cast<const char*>(header), sizeof(header));
     }
 
     void
@@ -264,11 +259,9 @@ class TextWriterImpl final : public TraceWriter::Impl
     std::ofstream out_;
 };
 
-#if FAMSIM_HAVE_ZLIB
-
 /**
- * Owning wrapper for a zlib gzFile. The gzip reader/writer
- * constructors can FATAL after gzopen (bad magic, truncation, ...),
+ * Owning wrapper for a zlib gzFile. The binary reader's constructor
+ * can FATAL after gzopen (bad magic, truncation, ...),
  * and under ScopedThrowOnError that throw skips the half-constructed
  * object's destructor — but member destructors still run, so holding
  * the handle here instead of in a raw gzFile closes it on every path.
@@ -326,12 +319,8 @@ class GzipWriterImpl final : public TraceWriter::Impl
     void
     close(std::uint64_t count) override
     {
-        unsigned char header[kV2HeaderSize];
-        std::memcpy(header, kMagicPrefix, sizeof(kMagicPrefix));
-        header[sizeof(kMagicPrefix)] = '2';
-        std::uint64_t fp_count = footprint_.size();
-        std::memcpy(header + kMagicSize, &count, 8);
-        std::memcpy(header + kMagicSize + 8, &fp_count, 8);
+        unsigned char header[kHeaderSize];
+        encodeHeader(count, footprint_.size(), header);
         write(header, sizeof(header));
         if (!footprint_.empty()) {
             write(footprint_.data(),
@@ -370,8 +359,6 @@ class GzipWriterImpl final : public TraceWriter::Impl
     std::vector<unsigned char> records_;
 };
 
-#endif // FAMSIM_HAVE_ZLIB
-
 std::unique_ptr<TraceWriter::Impl>
 makeWriterImpl(const std::string& path, TraceFormat format)
 {
@@ -381,12 +368,7 @@ makeWriterImpl(const std::string& path, TraceFormat format)
       case TraceFormat::Text:
         return std::make_unique<TextWriterImpl>(path);
       case TraceFormat::Gzip:
-#if FAMSIM_HAVE_ZLIB
         return std::make_unique<GzipWriterImpl>(path);
-#else
-        FAMSIM_FATAL("cannot write gzip trace '", path,
-                     "': famsim was built without zlib");
-#endif
     }
     FAMSIM_PANIC("unreachable trace format");
 }
@@ -484,86 +466,69 @@ derivedFootprint(const std::set<std::uint64_t>& pages)
     return {pages.begin(), pages.end()};
 }
 
+/**
+ * The binary decoder, for plain and gzip files alike. zlib passes a
+ * plain file through unchanged (gzdirect), so one header parser, one
+ * record loop and one gzseek rewind serve both encodings; only the
+ * open-time validation differs (see the constructor).
+ */
 class BinaryReaderImpl final : public TraceReader
 {
   public:
-    explicit BinaryReaderImpl(const std::string& path)
-        : TraceReader(path, TraceFormat::Binary),
-          in_(path, std::ios::binary)
+    BinaryReaderImpl(const std::string& path, TraceFormat format)
+        : TraceReader(path, format)
     {
-        if (!in_)
+        gz_.gz = gzopen(path.c_str(), "rb");
+        if (gz_.gz == nullptr)
             FAMSIM_FATAL("cannot open trace file '", path, "'");
+
         char magic[kMagicSize];
-        in_.read(magic, sizeof(magic));
-        if (!in_ ||
-            std::memcmp(magic, kMagicPrefix, sizeof(kMagicPrefix)) != 0)
+        readExact(magic, sizeof(magic), "header");
+        if (std::memcmp(magic, kMagicPrefix, sizeof(kMagicPrefix)) != 0)
             FAMSIM_FATAL("'", path, "' is not a famsim trace");
         const char version = magic[kMagicSize - 1];
-        std::uint64_t footprint_count = 0;
-        if (version == '2') {
-            in_.read(reinterpret_cast<char*>(&count_), 8);
-            in_.read(reinterpret_cast<char*>(&footprint_count), 8);
-        } else if (version == '1') {
-            in_.read(reinterpret_cast<char*>(&count_), 8);
-        } else {
+        if (version != kVersion) {
             FAMSIM_FATAL("trace '", path, "' has unsupported version '",
                          std::string(1, version), "' (this famsim reads "
-                         "versions 1 and 2)");
+                         "version 2; DESIGN.md \"Trace format\" shows how "
+                         "to convert a version 1 file)");
         }
-        if (!in_)
-            FAMSIM_FATAL("trace '", path, "' truncated in the header");
+        std::uint64_t footprint_count = 0;
+        readExact(&count_, 8, "header");
+        readExact(&footprint_count, 8, "header");
 
-        // The header count is a claim, not a fact: a writer that died
+        // The header counts are claims, not facts: a writer that died
         // before close() leaves the placeholder (0) with records on
         // disk, and a corrupted or concatenated file carries trailing
-        // bytes. Validate the payload size exactly.
-        std::error_code ec;
-        const std::uint64_t file_size =
-            std::filesystem::file_size(path, ec);
-        if (ec)
-            FAMSIM_FATAL("cannot stat trace '", path, "': ", ec.message());
-        const std::uint64_t header_size =
-            version == '2' ? kV2HeaderSize : kV1HeaderSize;
-        const std::uint64_t expected =
-            header_size + footprint_count * 8 + count_ * kRecordSize;
-        if (file_size < expected) {
-            FAMSIM_FATAL("trace '", path, "' truncated: header claims ",
-                         count_, " records (", expected, " bytes) but the "
-                         "file holds ", file_size, " bytes");
-        }
-        if (file_size > expected) {
-            FAMSIM_FATAL("trace '", path, "' has ", file_size - expected,
-                         " trailing bytes beyond the ", count_,
-                         " records its header claims (stale header from "
-                         "a crashed writer, or a corrupt file)");
-        }
-        if (count_ == 0)
-            FAMSIM_FATAL("trace '", path, "' contains no records");
-
-        payloadStart_ = header_size + footprint_count * 8;
-        if (footprint_count > 0) {
-            footprint_.resize(footprint_count);
-            in_.read(reinterpret_cast<char*>(footprint_.data()),
-                     static_cast<std::streamsize>(footprint_count * 8));
-            if (!in_)
-                FAMSIM_FATAL("trace '", path,
-                             "' truncated in the footprint");
-        } else {
-            // v1 (and a v2 written without setFootprint) carries no
-            // footprint section: derive it with one streaming pass
-            // (chunk buffer, nothing kept resident).
+        // bytes. A plain file is checked against its size up front; a
+        // compressed stream cannot be, so it gets one streaming pass
+        // that decodes every record and then probes for trailing
+        // bytes. The same pass derives the footprint of a trace
+        // written without one.
+        if (format == TraceFormat::Binary)
+            checkFileSize(footprint_count);
+        readFootprint(footprint_count);
+        payloadStart_ = kHeaderSize + footprint_count * 8;
+        const bool derive = footprint_.empty();
+        if (format == TraceFormat::Gzip || derive) {
             std::set<std::uint64_t> pages;
             std::vector<MemOpDesc> chunk(kChunkRecords);
             remaining_ = count_;
             for (std::size_t n = 0; (n = refill(chunk)) > 0;) {
-                for (std::size_t i = 0; i < n; ++i)
-                    pages.insert(chunk[i].vaddr / kPageSize);
+                if (derive) {
+                    for (std::size_t i = 0; i < n; ++i)
+                        pages.insert(chunk[i].vaddr / kPageSize);
+                }
             }
-            footprint_ = derivedFootprint(pages);
-            in_.clear();
-            in_.seekg(static_cast<std::streamoff>(payloadStart_));
+            unsigned char probe = 0;
+            if (gzread(gz_.gz, &probe, 1) > 0)
+                trailingBytesFatal();
+            if (derive)
+                footprint_ = derivedFootprint(pages);
         }
-        remaining_ = count_;
+        if (count_ == 0)
+            FAMSIM_FATAL("trace '", path, "' contains no records");
+        rewindPayload();
     }
 
   protected:
@@ -576,12 +541,7 @@ class BinaryReaderImpl final : public TraceReader
         if (want == 0)
             return 0;
         raw_.resize(want * kRecordSize);
-        in_.read(reinterpret_cast<char*>(raw_.data()),
-                 static_cast<std::streamsize>(raw_.size()));
-        if (static_cast<std::size_t>(in_.gcount()) != raw_.size()) {
-            FAMSIM_FATAL("trace '", path_, "' truncated at record ",
-                         count_ - remaining_);
-        }
+        readExact(raw_.data(), raw_.size(), "payload");
         const std::uint64_t base = count_ - remaining_;
         for (std::size_t i = 0; i < want; ++i) {
             buf[i] = decodeRecord(raw_.data() + i * kRecordSize, path_,
@@ -594,15 +554,81 @@ class BinaryReaderImpl final : public TraceReader
     void
     rewindPayload() override
     {
-        in_.clear();
-        in_.seekg(static_cast<std::streamoff>(payloadStart_));
-        if (!in_)
+        if (gzseek(gz_.gz, static_cast<z_off_t>(payloadStart_), SEEK_SET) < 0)
             FAMSIM_FATAL("trace '", path_, "' rewind failed");
         remaining_ = count_;
     }
 
   private:
-    std::ifstream in_;
+    /**
+     * A plain file must hold exactly what its header implies. Compare
+     * by division, so a corrupt count cannot wrap header + 8F + 13N
+     * around to the real size.
+     */
+    void
+    checkFileSize(std::uint64_t footprint_count) const
+    {
+        std::error_code ec;
+        const std::uint64_t file_size =
+            std::filesystem::file_size(path_, ec);
+        if (ec)
+            FAMSIM_FATAL("cannot stat trace '", path_, "': ", ec.message());
+        const std::uint64_t body =
+            file_size - std::min<std::uint64_t>(file_size, kHeaderSize);
+        if (footprint_count > body / 8 ||
+            count_ > (body - footprint_count * 8) / kRecordSize) {
+            FAMSIM_FATAL("trace '", path_, "' truncated: header claims ",
+                         footprint_count, " footprint pages and ", count_,
+                         " records but the file holds ", file_size,
+                         " bytes");
+        }
+        if (body != footprint_count * 8 + count_ * kRecordSize)
+            trailingBytesFatal();
+    }
+
+    /**
+     * Read the footprint section a chunk at a time, so a corrupt count
+     * fails at the end of the data instead of allocating its claim.
+     */
+    void
+    readFootprint(std::uint64_t footprint_count)
+    {
+        for (std::uint64_t left = footprint_count; left > 0;) {
+            const std::size_t n = static_cast<std::size_t>(
+                std::min<std::uint64_t>(left, kChunkRecords));
+            footprint_.resize(footprint_.size() + n);
+            readExact(footprint_.data() + footprint_.size() - n, n * 8,
+                      "footprint");
+            left -= n;
+        }
+    }
+
+    /** Read exactly @p bytes (at most one chunk) or fatal. */
+    void
+    readExact(void* out, std::size_t bytes, const char* what)
+    {
+        // gzread returns short only at end of stream or on an error.
+        const int got = gzread(gz_.gz, out, static_cast<unsigned>(bytes));
+        if (got == static_cast<int>(bytes))
+            return;
+        int errnum = Z_OK;
+        const char* msg = gzerror(gz_.gz, &errnum);
+        if (errnum != Z_OK && errnum != Z_STREAM_END) {
+            FAMSIM_FATAL("trace '", path_, "' ", what, " read failed: ",
+                         msg);
+        }
+        FAMSIM_FATAL("trace '", path_, "' truncated in the ", what);
+    }
+
+    [[noreturn]] void
+    trailingBytesFatal() const
+    {
+        FAMSIM_FATAL("trace '", path_, "' has trailing bytes beyond the ",
+                     count_, " records its header claims (stale header "
+                     "from a crashed writer, or a corrupt file)");
+    }
+
+    GzHandle gz_;
     std::uint64_t payloadStart_ = 0;
     std::uint64_t remaining_ = 0;
     std::vector<unsigned char> raw_;
@@ -730,135 +756,6 @@ class TextReaderImpl final : public TraceReader
     std::uint64_t lineNo_ = 0;
 };
 
-#if FAMSIM_HAVE_ZLIB
-
-class GzipReaderImpl final : public TraceReader
-{
-  public:
-    explicit GzipReaderImpl(const std::string& path)
-        : TraceReader(path, TraceFormat::Gzip)
-    {
-        gz_.gz = gzopen(path.c_str(), "rb");
-        if (gz_.gz == nullptr)
-            FAMSIM_FATAL("cannot open trace file '", path, "'");
-
-        char magic[kMagicSize];
-        readExact(magic, sizeof(magic), "header");
-        if (std::memcmp(magic, kMagicPrefix, sizeof(kMagicPrefix)) != 0)
-            FAMSIM_FATAL("'", path, "' is not a famsim trace");
-        const char version = magic[kMagicSize - 1];
-        std::uint64_t footprint_count = 0;
-        if (version == '2') {
-            readExact(&count_, 8, "header");
-            readExact(&footprint_count, 8, "header");
-            payloadStart_ = kV2HeaderSize + footprint_count * 8;
-        } else if (version == '1') {
-            readExact(&count_, 8, "header");
-            payloadStart_ = kV1HeaderSize;
-        } else {
-            FAMSIM_FATAL("trace '", path, "' has unsupported version '",
-                         std::string(1, version), "' (this famsim reads "
-                         "versions 1 and 2)");
-        }
-        if (footprint_count > 0) {
-            footprint_.resize(footprint_count);
-            readExact(footprint_.data(), footprint_count * 8,
-                      "footprint");
-        }
-
-        // A compressed stream cannot be size-checked without
-        // decompressing it, so validate the header count with one full
-        // streaming pass now: count records to EOF (deriving the v1
-        // footprint on the way) and fail on a mismatch or trailing
-        // bytes — exactly what the binary reader's stat check catches.
-        std::set<std::uint64_t> pages;
-        std::vector<MemOpDesc> chunk(kChunkRecords);
-        remaining_ = count_;
-        std::uint64_t seen = 0;
-        const bool derive = footprint_.empty();
-        for (std::size_t n = 0; (n = refill(chunk)) > 0;) {
-            seen += n;
-            if (derive) {
-                for (std::size_t i = 0; i < n; ++i)
-                    pages.insert(chunk[i].vaddr / kPageSize);
-            }
-        }
-        unsigned char probe = 0;
-        if (gzread(gz_.gz, &probe, 1) > 0) {
-            FAMSIM_FATAL("trace '", path, "' has trailing bytes beyond "
-                         "the ", count_, " records its header claims "
-                         "(stale header from a crashed writer, or a "
-                         "corrupt file)");
-        }
-        if (count_ == 0)
-            FAMSIM_FATAL("trace '", path, "' contains no records");
-        FAMSIM_ASSERT(seen == count_, "gzip validation miscount");
-        if (derive)
-            footprint_ = derivedFootprint(pages);
-        rewindPayload();
-    }
-
-  protected:
-    std::size_t
-    refill(std::vector<MemOpDesc>& buf) override
-    {
-        const std::size_t want =
-            static_cast<std::size_t>(std::min<std::uint64_t>(
-                remaining_, buf.size()));
-        if (want == 0)
-            return 0;
-        raw_.resize(want * kRecordSize);
-        readExact(raw_.data(), raw_.size(), "payload");
-        const std::uint64_t base = count_ - remaining_;
-        for (std::size_t i = 0; i < want; ++i) {
-            buf[i] = decodeRecord(raw_.data() + i * kRecordSize, path_,
-                                  base + i);
-        }
-        remaining_ -= want;
-        return want;
-    }
-
-    void
-    rewindPayload() override
-    {
-        if (gzrewind(gz_.gz) != 0 ||
-            gzseek(gz_.gz, static_cast<z_off_t>(payloadStart_), SEEK_SET) < 0)
-            FAMSIM_FATAL("trace '", path_, "' rewind failed");
-        remaining_ = count_;
-    }
-
-  private:
-    void
-    readExact(void* out, std::size_t bytes, const char* what)
-    {
-        auto* p = static_cast<unsigned char*>(out);
-        while (bytes > 0) {
-            unsigned chunk = static_cast<unsigned>(
-                std::min<std::size_t>(bytes, 1u << 30));
-            int got = gzread(gz_.gz, p, chunk);
-            if (got <= 0) {
-                int errnum = Z_OK;
-                const char* msg = gzerror(gz_.gz, &errnum);
-                if (errnum != Z_OK && errnum != Z_STREAM_END) {
-                    FAMSIM_FATAL("trace '", path_, "' ", what,
-                                 " read failed: ", msg);
-                }
-                FAMSIM_FATAL("trace '", path_, "' truncated in the ",
-                             what);
-            }
-            p += got;
-            bytes -= static_cast<std::size_t>(got);
-        }
-    }
-
-    GzHandle gz_;
-    std::uint64_t payloadStart_ = 0;
-    std::uint64_t remaining_ = 0;
-    std::vector<unsigned char> raw_;
-};
-
-#endif // FAMSIM_HAVE_ZLIB
-
 } // namespace
 
 std::unique_ptr<TraceReader>
@@ -875,16 +772,10 @@ TraceReader::open(const std::string& path)
         probe.read(reinterpret_cast<char*>(head), sizeof(head));
         got = static_cast<std::size_t>(probe.gcount());
     }
-    if (got == 2 && head[0] == 0x1f && head[1] == 0x8b) {
-#if FAMSIM_HAVE_ZLIB
-        return std::make_unique<GzipReaderImpl>(path);
-#else
-        FAMSIM_FATAL("cannot read gzip trace '", path,
-                     "': famsim was built without zlib");
-#endif
-    }
+    if (got == 2 && head[0] == 0x1f && head[1] == 0x8b)
+        return std::make_unique<BinaryReaderImpl>(path, TraceFormat::Gzip);
     if (got == 2 && head[0] == kMagicPrefix[0] && head[1] == kMagicPrefix[1])
-        return std::make_unique<BinaryReaderImpl>(path);
+        return std::make_unique<BinaryReaderImpl>(path, TraceFormat::Binary);
     return std::make_unique<TextReaderImpl>(path);
 }
 

@@ -6,20 +6,18 @@
  * binaries; trace support closes the loop for users who *do* have real
  * address traces (e.g. from Pin, DynamoRIO or gem5): record any
  * WorkloadGen to a file, or replay a file as a WorkloadGen. Modeled on
- * SST prospero's reader family: one open() dispatch in front of
- * binary, text and gzip-compressed backends.
+ * SST prospero's reader family: one open() dispatch in front of a
+ * binary decoder (plain or gzip-compressed) and a text parser.
  *
  * Three on-disk formats (full spec in DESIGN.md "Trace format"):
- *  - binary v2 ("FAMSIMTRACE2"): header {magic, u64 record count,
+ *  - binary ("FAMSIMTRACE2"): header {magic, u64 record count,
  *    u64 footprint page count}, then the footprint pages (u64 each,
  *    writer order), then packed 13-byte records
  *    {u64 vaddr, u32 gap, u8 flags} (little endian).
- *  - binary v1 ("FAMSIMTRACE1", read-only legacy): {magic, u64 count}
- *    then records; the footprint is derived by scanning.
  *  - text ("*.txt"): `<vaddr> <gap> R|W [B]` lines plus optional
  *    `F <page>` footprint lines and `#` comments.
  *  - gzip ("*.gz"): a gzip stream whose decompressed bytes are a
- *    binary trace (v1 or v2). Requires zlib (see traceGzipSupported).
+ *    binary trace, read by the same decoder through zlib.
  *
  * Readers stream records in fixed-size chunks, so multi-GB traces
  * never need the whole operation list resident; the trace loops when
@@ -56,11 +54,8 @@ toString(TraceFormat format)
 /** Format implied by a path: ".gz" = gzip, ".txt" = text, else binary. */
 [[nodiscard]] TraceFormat traceFormatForPath(const std::string& path);
 
-/** Whether this build can read/write gzip traces (zlib linked in). */
-[[nodiscard]] bool traceGzipSupported();
-
 /**
- * Writes memory-op records to a trace file (binary v2, text or gzip).
+ * Writes memory-op records to a trace file (binary, text or gzip).
  *
  * Every write is checked: a disk-full or I/O error fatals immediately
  * instead of reporting success over a silently truncated file. The

@@ -43,6 +43,17 @@ fi
 grep -q "fabric-ns" "$work/err.txt" ||
     fail "--fabric-ns 0 error does not name the flag"
 
+# --- zero instructions is a usage error, not an empty trace ---------
+if "$cli" --record "$work/empty.trace" --instr 0 \
+    > /dev/null 2> "$work/err.txt"; then
+    fail "--instr 0 was accepted"
+else
+    status=$?
+    [ "$status" -eq 2 ] || fail "--instr 0 exited $status, expected 2"
+fi
+grep -q "for --instr" "$work/err.txt" ||
+    fail "--instr 0 error does not name the flag"
+
 # --- --sweep-jobs without --sweep warns but still runs --------------
 "$cli" --bench mcf --instr 2000 --sweep-jobs 2 \
     > /dev/null 2> "$work/warn.txt" ||

@@ -1,23 +1,28 @@
 /**
  * @file
  * Tests for workload trace record/replay: round trips across the
- * binary/text/gzip backends, streaming chunk behaviour, header
+ * binary/text/gzip encodings, streaming chunk behaviour, header
  * validation (truncation, trailing garbage, stale counts, bad
- * versions), writer I/O error checking and the scenario-level
+ * versions, corrupt footprint counts), a seeded mutation fuzz of every
+ * reader, writer I/O error checking and the scenario-level
  * record -> replay bit-identity contract.
  */
 
 #include <gtest/gtest.h>
+#include <zlib.h>
 
 #include <cstdint>
+#include <exception>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "harness/runner.hh"
 #include "harness/scenario.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 #include "workload/trace.hh"
 
 namespace famsim {
@@ -95,11 +100,37 @@ expectSameOps(const std::vector<MemOpDesc>& expected, TraceReader& reader)
 std::vector<TraceFormat>
 allFormats()
 {
-    std::vector<TraceFormat> formats = {TraceFormat::Binary,
-                                        TraceFormat::Text};
-    if (traceGzipSupported())
-        formats.push_back(TraceFormat::Gzip);
-    return formats;
+    return {TraceFormat::Binary, TraceFormat::Text, TraceFormat::Gzip};
+}
+
+std::vector<unsigned char>
+readBytes(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+void
+writeBytes(const std::string& path, const std::vector<unsigned char>& bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(out.good());
+}
+
+/** Write @p bytes to @p path as one gzip stream. */
+void
+writeGzip(const std::string& path, const std::vector<unsigned char>& bytes)
+{
+    gzFile gz = gzopen(path.c_str(), "wb");
+    ASSERT_NE(gz, nullptr);
+    const int written =
+        gzwrite(gz, bytes.data(), static_cast<unsigned>(bytes.size()));
+    const int rc = gzclose(gz);
+    ASSERT_EQ(written, static_cast<int>(bytes.size()));
+    ASSERT_EQ(rc, Z_OK);
 }
 
 TEST_F(TraceTest, RoundTripsRecordsInEveryFormat)
@@ -279,11 +310,12 @@ TEST_F(TraceTest, TextGrammarParsesHexFlagsAndComments)
                "\n"
                "0x10000 3 R\n"
                "65536 0 W B\n"
-               "0x2abc 12 W\n";
+               "0x2abc 12 W\n"
+               "0100 0 R\n"; // decimal despite the leading zero
     }
     auto reader = TraceReader::open(path_.string());
     EXPECT_EQ(reader->format(), TraceFormat::Text);
-    EXPECT_EQ(reader->size(), 3u);
+    EXPECT_EQ(reader->size(), 4u);
     const std::vector<std::uint64_t> footprint = {16, 2};
     EXPECT_EQ(reader->footprintPages(), footprint);
 
@@ -299,6 +331,10 @@ TEST_F(TraceTest, TextGrammarParsesHexFlagsAndComments)
     op = reader->next();
     EXPECT_EQ(op.vaddr, 0x2abcu);
     EXPECT_EQ(op.gap, 12u);
+    op = reader->next();
+    EXPECT_EQ(op.vaddr, 100u);
+    EXPECT_EQ(op.gap, 0u);
+    EXPECT_FALSE(op.write);
 }
 
 TEST_F(TraceTest, MissingFileFatals)
@@ -381,9 +417,38 @@ TEST_F(TraceTest, UnsupportedVersionFatals)
         MemOpDesc op;
         writer.append(op);
     }
-    patchByte(path_.string(), 11, '9'); // version char after prefix
+    // '1' is the retired footprint-less layout (DESIGN.md "Trace
+    // format" converts it); '9' stands for any future one.
+    for (char version : {'1', '9'}) {
+        SCOPED_TRACE(version);
+        // Version char after the prefix.
+        patchByte(path_.string(), 11, static_cast<unsigned char>(version));
+        ScopedThrowOnError guard;
+        EXPECT_THROW(TraceReader::open(path_.string()), SimError);
+    }
+}
+
+TEST_F(TraceTest, CorruptFootprintCountFatals)
+{
+    // The footprint count (u64 LE @20) is a claim. Plain: top byte
+    // 0x20 makes 8 * count wrap back to the real section size, so the
+    // size check must not multiply. Gzip: 2^40 + 5 pages (8 TiB) must
+    // run out of data, not be allocated before any of it is read.
+    {
+        TraceWriter writer(path_.string());
+        writer.setFootprint({1, 2, 3, 4, 5});
+        MemOpDesc op;
+        op.vaddr = kPageSize;
+        writer.append(op);
+    }
+    std::vector<unsigned char> image = readBytes(path_.string());
+    patchByte(path_.string(), 27, 0x20);
     ScopedThrowOnError guard;
     EXPECT_THROW(TraceReader::open(path_.string()), SimError);
+
+    image[25] = 0x01; // footprint count 5 + 2^40
+    writeGzip(pathWithExt(".gz"), image);
+    EXPECT_THROW(TraceReader::open(pathWithExt(".gz")), SimError);
 }
 
 TEST_F(TraceTest, CorruptFlagBitsFatal)
@@ -404,28 +469,30 @@ TEST_F(TraceTest, CorruptFlagBitsFatal)
 
 TEST_F(TraceTest, TextBadLineFatals)
 {
-    {
-        std::ofstream out(path_);
-        out << "# famsim-trace text v1\n"
-               "0x1000 0 R\n"
-               "0x2000 zero W\n"; // bad gap on line 3
-    }
-    ScopedThrowOnError guard;
-    EXPECT_THROW(TraceReader::open(path_.string()), SimError);
-    try {
-        (void)TraceReader::open(path_.string());
-        FAIL() << "expected SimError";
-    } catch (const SimError& e) {
-        EXPECT_NE(std::string(e.what()).find("line 3"),
-                  std::string::npos)
-            << e.what();
+    // Numbers are `[0-9]+` or `0x[0-9a-fA-F]+`, so a signed number
+    // is a malformed line like any other.
+    for (const char* bad : {"0x2000 zero W", "-1 0 R", "+5 0 R"}) {
+        SCOPED_TRACE(bad);
+        {
+            std::ofstream out(path_);
+            out << "# famsim-trace text v1\n"
+                   "0x1000 0 R\n"
+                << bad << "\n"; // line 3
+        }
+        ScopedThrowOnError guard;
+        try {
+            (void)TraceReader::open(path_.string());
+            ADD_FAILURE() << "expected SimError";
+        } catch (const SimError& e) {
+            EXPECT_NE(std::string(e.what()).find("line 3"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 
 TEST_F(TraceTest, GzipTruncatedFatals)
 {
-    if (!traceGzipSupported())
-        GTEST_SKIP() << "built without zlib";
     {
         TraceWriter writer(path_.string(), TraceFormat::Gzip);
         StreamGen gen(profiles::byName("mcf"), 0x1000000, 5, 0);
@@ -439,35 +506,76 @@ TEST_F(TraceTest, GzipTruncatedFatals)
     EXPECT_THROW(TraceReader::open(path_.string()), SimError);
 }
 
-TEST_F(TraceTest, V1BinaryTracesStillRead)
+TEST_F(TraceTest, MutatedTracesReadOrFatalCleanly)
 {
-    // Hand-craft a legacy v1 file: magic, u64 count, records — no
-    // footprint section; the reader derives one by scanning.
-    {
-        std::ofstream out(path_, std::ios::binary);
-        out.write("FAMSIMTRACE1", 12);
-        std::uint64_t count = 2;
-        out.write(reinterpret_cast<const char*>(&count), 8);
-        const struct {
-            std::uint64_t vaddr;
-            std::uint32_t gap;
-            std::uint8_t flags;
-        } records[2] = {{5 * kPageSize, 7, 1}, {2 * kPageSize, 0, 0}};
-        for (const auto& r : records) {
-            out.write(reinterpret_cast<const char*>(&r.vaddr), 8);
-            out.write(reinterpret_cast<const char*>(&r.gap), 4);
-            out.write(reinterpret_cast<const char*>(&r.flags), 1);
+    // Seeded mutants of a valid trace in every encoding: each must
+    // replay one full loop plus one record (crossing the rewind) or
+    // fatal cleanly. Any other exception (bad_alloc or length_error
+    // from a corrupt count, ...) is a reader bug.
+    Rng rng(0x7ace, 5);
+    std::vector<MemOpDesc> ops(64);
+    for (MemOpDesc& op : ops) {
+        op.vaddr = rng.next64() >> 16;
+        op.gap = rng.below(1000);
+        op.write = rng.below(2) == 1;
+        op.blocking = rng.below(4) == 0;
+    }
+    std::vector<std::uint64_t> footprint;
+    for (std::size_t i = 0; i < 5; ++i)
+        footprint.push_back(ops[i].vaddr / kPageSize);
+
+    const std::vector<TraceFormat> formats = allFormats();
+    std::vector<std::vector<unsigned char>> originals;
+    for (TraceFormat format : formats) {
+        TraceWriter writer(path_.string(), format);
+        writer.setFootprint(footprint);
+        for (const MemOpDesc& op : ops)
+            writer.append(op);
+        writer.close();
+        originals.push_back(readBytes(path_.string()));
+    }
+    // A gzip stream decompresses to the plain binary file (formats[0]),
+    // so a gzip header edit patches that image and re-compresses it.
+    const std::vector<unsigned char>& plain = originals[0];
+    constexpr std::uint32_t kHeaderBytes = 28;
+    constexpr int kMutantsPerFormat = 500;
+    const char* const kKinds[] = {"byte flip", "truncation",
+                                  "header edit"};
+
+    ScopedThrowOnError guard;
+    for (std::size_t f = 0; f < formats.size(); ++f) {
+        const TraceFormat format = formats[f];
+        for (int i = 0; i < kMutantsPerFormat; ++i) {
+            const int kind = i % 3;
+            const bool regzip = kind == 2 && format == TraceFormat::Gzip;
+            std::vector<unsigned char> bytes = regzip ? plain : originals[f];
+            const auto size = static_cast<std::uint32_t>(bytes.size());
+            if (kind == 0) {
+                bytes[rng.below(size)] ^=
+                    static_cast<unsigned char>(1 + rng.below(255));
+            } else if (kind == 1) {
+                bytes.resize(rng.below(size));
+            } else {
+                bytes[rng.below(kHeaderBytes)] =
+                    static_cast<unsigned char>(rng.below(256));
+            }
+            if (regzip)
+                writeGzip(path_.string(), bytes);
+            else
+                writeBytes(path_.string(), bytes);
+
+            try {
+                auto reader = TraceReader::open(path_.string());
+                for (std::uint64_t r = 0; r <= reader->size(); ++r)
+                    (void)reader->next();
+            } catch (const SimError&) {
+                // A clean fatal.
+            } catch (const std::exception& e) {
+                ADD_FAILURE() << toString(format) << " mutant " << i
+                              << " (" << kKinds[kind] << "): " << e.what();
+            }
         }
     }
-    auto reader = TraceReader::open(path_.string());
-    EXPECT_EQ(reader->size(), 2u);
-    const std::vector<std::uint64_t> derived = {2, 5};
-    EXPECT_EQ(reader->footprintPages(), derived);
-    MemOpDesc op = reader->next();
-    EXPECT_EQ(op.vaddr, 5 * kPageSize);
-    EXPECT_EQ(op.gap, 7u);
-    EXPECT_TRUE(op.write);
-    EXPECT_EQ(reader->next().vaddr, 2 * kPageSize);
 }
 
 TEST_F(TraceTest, WriteErrorFatalsInsteadOfReportingSuccess)
