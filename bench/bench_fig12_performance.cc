@@ -6,12 +6,10 @@
  * hurts) the AT-insensitive benchmarks bc, lu, mg and sp.
  */
 
-#include <fstream>
 #include <iostream>
 
 #include "harness/figure_report.hh"
 #include "harness/runner.hh"
-#include "sim/trace_sink.hh"
 
 using namespace famsim;
 
@@ -59,28 +57,6 @@ main(int argc, char** argv)
                       geomean(deactn_over_ifam));
     report.addSummary("best_speedup_over_ifam", best_speedup);
     report.addMeta("best_speedup_bench", best_bench);
-    // FAMSIM_TRACE: one extra traced run of the mcf/DeACT-N point
-    // with the Chrome timeline written to the given path. The figure's
-    // exported numbers come from the untraced runs above.
-    const std::string trace_path = traceFromEnv();
-    if (!trace_path.empty()) {
-        SystemConfig config = makeConfig(profiles::byName("mcf"),
-                                         ArchKind::DeactN,
-                                         options.instructions);
-        System system(config);
-        TraceSink sink(system.traceLanes());
-        system.attachTrace(&sink);
-        system.run(threadsFromEnv(0));
-        std::ofstream out(trace_path, std::ios::binary);
-        if (out) {
-            sink.write(out);
-            std::cerr << "fig12: wrote " << sink.size()
-                      << " trace events to " << trace_path << "\n";
-        } else {
-            std::cerr << "fig12: cannot open trace file '" << trace_path
-                      << "'\n";
-        }
-    }
     report.addNote("paper: I-FAM 0.303 of E-FAM, DeACT-N 0.647; avg "
                    "speedup 1.8x, best 4.59x on cactus");
     return emitReport(report, options);

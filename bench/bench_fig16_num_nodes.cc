@@ -5,14 +5,6 @@
  * extension). The paper reports the speedup growing with node count
  * (dc: 2.92x at 1 node, 3.26x at 8) because DeACT keeps page-table
  * traffic off the contended fabric.
- *
- * Since the parallel kernel (src/psim/) the bench also carries a
- * threads dimension: the pf/DeACT-N point at each node count is
- * re-run under the conservative-window kernel (FAMSIM_THREADS
- * workers, default 4) and the host wall-clock speedup vs the serial
- * run is reported per row — the simulated metrics of that extra run
- * are discarded (the parallel schedule is deterministic but not the
- * serial one).
  */
 
 #include <iostream>
@@ -21,7 +13,6 @@
 #include "harness/figure_report.hh"
 #include "harness/runner.hh"
 #include "harness/sweep.hh"
-#include "sim/profiler.hh"
 
 using namespace famsim;
 
@@ -30,27 +21,19 @@ main(int argc, char** argv)
 {
     BenchOptions options = parseBenchArgs(argc, argv, 100000);
     ScopedQuietLogs quiet;
-    // FAMSIM_THREADS=0 means "serial reference" everywhere, so honor
-    // it here by skipping the parallel re-runs (the speedup column
-    // reports 0).
-    const unsigned psim_threads = threadsFromEnv(4);
 
     FigureReport report("fig16_num_nodes",
                         "Fig. 16: DeACT-N speedup wrt I-FAM vs #nodes",
-                        "nodes", {"pf", "dc", "pf_host_speedup"});
+                        "nodes", {"pf", "dc"});
     // The axis comes from the sweep registry so the bench curve and
     // the golden-pinned fig16_num_nodes sweep cover the same counts.
     const Sweep& axis_source =
         SweepRegistry::paper().byName("fig16_num_nodes");
 
-    // Phase 1: every ipc run of the figure — (I-FAM, DeACT-N) pairs
-    // for pf and dc per node count — fans out through the executor
-    // under --sweep-jobs. The host-speedup wall-clock samples stay in
-    // phase 2, after the pool has drained: timing a run while sibling
-    // points compete for cores would measure contention, not the
-    // kernel.
+    // Every ipc run of the figure — (I-FAM, DeACT-N) pairs for pf and
+    // dc per node count — fans out through the executor under
+    // --sweep-jobs.
     std::vector<SystemConfig> configs;
-    std::vector<SystemConfig> pf_deact_configs;
     for (const auto& point : axis_source.axis.points) {
         auto nodes = static_cast<unsigned>(point.value);
         for (const char* bench : {"pf", "dc"}) {
@@ -67,8 +50,6 @@ main(int argc, char** argv)
                            options.instructions);
             deact.nodes = nodes;
             deact.fabric.serialization = kContendedFabricSerialization;
-            if (bench == std::string("pf"))
-                pf_deact_configs.push_back(deact);
             configs.push_back(std::move(ifam));
             configs.push_back(std::move(deact));
         }
@@ -79,52 +60,18 @@ main(int argc, char** argv)
     const std::vector<RunResult> results =
         executor.runResults(configs, 0);
 
-    // Phase 2: serial vs parallel-kernel wall clock for the pf/DeACT-N
-    // point of each row, best-of-2 per side (the shared harness
-    // sampler bench_throughput also uses) so the exported speedup
-    // column tracks the kernel, not host jitter.
     std::size_t cursor = 0;
-    for (std::size_t p = 0; p < axis_source.axis.points.size(); ++p) {
-        auto nodes =
-            static_cast<unsigned>(axis_source.axis.points[p].value);
-        std::cerr << "fig16: timing " << nodes << " node(s)...\n";
+    for (const auto& point : axis_source.axis.points) {
         std::vector<double> row;
         for (std::size_t b = 0; b < 2; ++b) {
             double i = results[cursor++].ipc;
             double d = results[cursor++].ipc;
             row.push_back(i > 0 ? d / i : 0.0);
         }
-        double pf_serial_s = 0.0, pf_parallel_s = 0.0;
-        if (psim_threads > 0) {
-            const SystemConfig& deact = pf_deact_configs[p];
-            pf_serial_s = bestOfSeconds(2, [&] { (void)runOne(deact); });
-            pf_parallel_s = bestOfSeconds(
-                2, [&] { (void)runOne(deact, psim_threads); });
-        }
-        row.push_back(pf_parallel_s > 0.0 ? pf_serial_s / pf_parallel_s
-                                          : 0.0);
-        report.addRow(std::to_string(nodes), row);
-    }
-    // FAMSIM_PROFILE: one extra profiled run of the largest pf/DeACT-N
-    // point, window-profile to stderr (host timings — never in the
-    // exported figure).
-    if (profileFromEnv() && psim_threads > 0 &&
-        !pf_deact_configs.empty()) {
-        Profiler prof;
-        System system(pf_deact_configs.back());
-        system.attachProfiler(&prof);
-        system.run(psim_threads);
-        std::cerr << "fig16 profile (largest pf/DeACT-N point, "
-                  << psim_threads << " workers): ";
-        prof.writeJson(std::cerr);
-        std::cerr << "\n";
+        report.addRow(std::to_string(static_cast<unsigned>(point.value)),
+                      row);
     }
     report.addNote("paper: speedup grows with sharing; dc 2.92x at 1 "
                    "node -> 3.26x at 8 nodes");
-    report.addSummary("psim_threads", static_cast<double>(psim_threads));
-    report.addNote("pf_host_speedup = wall clock of the serial pf/"
-                   "DeACT-N run over the same run on the parallel "
-                   "kernel (FAMSIM_THREADS workers); host-dependent, "
-                   "not part of the simulated figure");
     return emitReport(report, options);
 }

@@ -55,16 +55,13 @@
  *     --trace-out <file>   write a Chrome trace_event JSON timeline of
  *                          the run (load in Perfetto / chrome://tracing;
  *                          byte-identical for every --threads value on
- *                          warmup-free configurations). The FAMSIM_TRACE
- *                          environment variable supplies the default
+ *                          warmup-free configurations)
  *     --trace-filter <c>   packet | psim | all (default all): restrict
  *                          the trace to packet-lifecycle spans or
  *                          parallel-kernel window events
  *     --profile            attach the wall-clock profiler and export a
  *                          "profile" block (host timings, explicitly
- *                          nondeterministic) alongside the stats; the
- *                          FAMSIM_PROFILE environment variable supplies
- *                          the default
+ *                          nondeterministic) alongside the stats
  *     --stats              dump every statistic after the run
  *     --csv                dump statistics as CSV
  *     --json               dump statistics as JSON
@@ -166,19 +163,12 @@ std::uint64_t
 parseUint(const char* argv0, const char* flag, const std::string& text,
           std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
-    // strtoull accepts leading whitespace, '+', and even '-' (with
-    // wraparound); a flag value must be plain digits.
-    bool digits_only = !text.empty();
-    for (char c : text)
-        digits_only = digits_only && c >= '0' && c <= '9';
-    if (!digits_only)
+    const std::optional<std::uint64_t> v = parseUnsigned(text);
+    if (!v)
         badValue(argv0, flag, text, "an unsigned integer");
-    errno = 0;
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (errno == ERANGE || end != text.c_str() + text.size() || v > max)
+    if (*v > max)
         badValue(argv0, flag, text, "an unsigned integer in range");
-    return v;
+    return *v;
 }
 
 double
@@ -249,9 +239,9 @@ main(int argc, char** argv)
     unsigned threads = threadsFromEnv(0);
     unsigned sweep_jobs = sweepJobsFromEnv(1);
     bool sweep_jobs_given = false;
-    std::string trace_out = traceFromEnv();
+    std::string trace_out;
     unsigned trace_filter = TraceSink::kAll;
-    bool want_profile = profileFromEnv();
+    bool want_profile = false;
     bool dump_stats = false, dump_csv = false, dump_json = false;
     bool show_help = false, list_profiles = false, list_scenarios = false;
     bool list_sweeps = false;

@@ -9,9 +9,9 @@
  * Layout: structure-of-arrays. Tags live in one contiguous per-set
  * array probed with a branchless compare-into-bitmask loop, validity is
  * one bitmask word per set, and replacement metadata is split out per
- * policy (LRU timestamps only exist for LRU caches, MRU bitmasks only
- * for TreePLRU, Random keeps none). Replacement decisions and the RNG
- * draw order are identical to the original array-of-structs store —
+ * policy (LRU timestamps only exist for LRU caches, Random keeps
+ * none). Replacement decisions and the RNG draw order are identical to
+ * the original array-of-structs store —
  * see DESIGN.md "SoA tag store" for the equivalence argument that keeps
  * the golden files stable.
  */
@@ -32,9 +32,8 @@ namespace famsim {
 
 /** Replacement policy selection for SetAssocCache. */
 enum class ReplPolicy : std::uint8_t {
-    Lru,     //!< Least recently used (exact, timestamp based).
-    Random,  //!< Uniform random victim (the paper's translation cache).
-    TreePlru //!< Tree pseudo-LRU.
+    Lru,   //!< Least recently used (exact, timestamp based).
+    Random //!< Uniform random victim (the paper's translation cache).
 };
 
 /** @return printable name of a replacement policy. */
@@ -44,7 +43,6 @@ toString(ReplPolicy p)
     switch (p) {
       case ReplPolicy::Lru: return "LRU";
       case ReplPolicy::Random: return "Random";
-      case ReplPolicy::TreePlru: return "TreePLRU";
     }
     return "?";
 }
@@ -83,8 +81,6 @@ class SetAssocCache
           values_(sets * ways),
           valid_(sets * maskWords_, 0),
           lastUse_(policy == ReplPolicy::Lru ? sets * ways : 0, 0),
-          mruBits_(policy == ReplPolicy::TreePlru ? sets * maskWords_ : 0,
-                   0),
           rng_(seed, 0x5e77)
     {
         FAMSIM_ASSERT(sets_ > 0 && ways_ > 0,
@@ -180,8 +176,6 @@ class SetAssocCache
             tag = kInvalidTag;
         for (auto& stamp : lastUse_)
             stamp = 0;
-        for (auto& bits : mruBits_)
-            bits = 0;
     }
 
     /** Invalidate entries whose value matches @p pred. @return count. */
@@ -275,12 +269,7 @@ class SetAssocCache
         return kMiss;
     }
 
-    /**
-     * Drop a way and its replacement state. A stale MRU bit (or
-     * lastUse stamp) left behind by an invalidation storm — e.g. the
-     * TLB shootdowns after a job migration — would keep protecting the
-     * way from eviction and bias victim selection long after refill.
-     */
+    /** Drop a way and its replacement state. */
     void
     invalidateWay(std::size_t set, std::size_t way)
     {
@@ -289,8 +278,6 @@ class SetAssocCache
         tags_[set * ways_ + way] = kInvalidTag;
         if (policy_ == ReplPolicy::Lru)
             lastUse_[set * ways_ + way] = 0;
-        else if (policy_ == ReplPolicy::TreePlru)
-            mruBits_[set * maskWords_ + way / 64] &= ~bit;
     }
 
     void
@@ -300,23 +287,6 @@ class SetAssocCache
           case ReplPolicy::Lru:
             lastUse_[set * ways_ + way] = ++useClock_;
             break;
-          case ReplPolicy::TreePlru: {
-            // Mark the accessed way as most recently used by setting
-            // its bit; victims are chosen among zero bits. When every
-            // way's bit is set, keep only the current one — mask-word
-            // compares instead of the old all-ways scan.
-            std::uint64_t* words = mruBits_.data() + set * maskWords_;
-            words[way / 64] |= std::uint64_t{1} << (way % 64);
-            bool all = true;
-            for (std::size_t c = 0; c < maskWords_; ++c)
-                all = all && words[c] == wordMask(c);
-            if (all) {
-                for (std::size_t c = 0; c < maskWords_; ++c)
-                    words[c] = 0;
-                words[way / 64] = std::uint64_t{1} << (way % 64);
-            }
-            break;
-          }
           case ReplPolicy::Random:
             break;
         }
@@ -328,18 +298,6 @@ class SetAssocCache
         switch (policy_) {
           case ReplPolicy::Random:
             return rng_.below(static_cast<std::uint32_t>(ways_));
-          case ReplPolicy::TreePlru: {
-            // First zero MRU bit; all-set is transient (touch()
-            // resets it) — fall back to way 0.
-            const std::uint64_t* words = mruBits_.data() + set * maskWords_;
-            for (std::size_t c = 0; c < maskWords_; ++c) {
-                std::uint64_t zeros = ~words[c] & wordMask(c);
-                if (zeros)
-                    return c * 64 + static_cast<std::size_t>(
-                                        std::countr_zero(zeros));
-            }
-            return 0;
-          }
           case ReplPolicy::Lru:
           default: {
             const std::uint64_t* stamps = lastUse_.data() + set * ways_;
@@ -372,8 +330,6 @@ class SetAssocCache
     std::vector<std::uint64_t> valid_;
     /** LRU only: per-line recency stamps. */
     std::vector<std::uint64_t> lastUse_;
-    /** TreePLRU only: one MRU bitmask word per set. */
-    std::vector<std::uint64_t> mruBits_;
     std::uint64_t useClock_ = 0;
     Rng rng_;
 };

@@ -159,29 +159,23 @@ parseBenchArgs(int argc, char** argv, std::uint64_t instr_fallback)
             options.outPath = need("--out");
         } else if (arg == "--instr") {
             std::string value = need("--instr");
-            char* end = nullptr;
-            instr_override = std::strtoull(value.c_str(), &end, 10);
-            // Reject '-' explicitly: strtoull silently wraps negative
-            // input to a near-2^64 budget.
-            if (!end || *end != '\0' || instr_override == 0 ||
-                value.find('-') != std::string::npos) {
+            std::optional<std::uint64_t> parsed = parseUnsigned(value);
+            if (!parsed || *parsed == 0) {
                 std::cerr << "--instr needs a positive integer, got '"
                           << value << "'\n";
                 std::exit(2);
             }
+            instr_override = *parsed;
         } else if (arg == "--sweep-jobs") {
             std::string value = need("--sweep-jobs");
-            char* end = nullptr;
-            unsigned long parsed = std::strtoul(value.c_str(), &end, 10);
-            if (!end || *end != '\0' || parsed == 0 ||
-                parsed > 1024 ||
-                value.find('-') != std::string::npos) {
+            std::optional<std::uint64_t> parsed = parseUnsigned(value);
+            if (!parsed || *parsed == 0 || *parsed > 1024) {
                 std::cerr << "--sweep-jobs needs a positive integer "
                              "(<= 1024), got '"
                           << value << "'\n";
                 std::exit(2);
             }
-            jobs_override = static_cast<unsigned>(parsed);
+            jobs_override = static_cast<unsigned>(*parsed);
         } else if (arg == "--help" || arg == "-h") {
             std::cout << "usage: " << argv[0]
                       << " [--json] [--out <path>] [--instr <n>]"

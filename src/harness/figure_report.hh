@@ -14,7 +14,6 @@
 #ifndef FAMSIM_HARNESS_FIGURE_REPORT_HH
 #define FAMSIM_HARNESS_FIGURE_REPORT_HH
 
-#include <chrono>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -84,31 +83,6 @@ struct BenchOptions {
      */
     unsigned sweepJobs = 1;
 };
-
-/**
- * Best-of-@p reps wall-clock seconds of @p fn — the shared noise
- * floor for host-timing benches (bench_throughput rows, the fig16
- * host-speedup column); one definition so every bench samples the
- * same way.
- */
-template <typename Fn>
-[[nodiscard]] double
-bestOfSeconds(int reps, Fn&& fn)
-{
-    double best = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
-        // lint-allow(wall-clock): host-speedup benches time the host by design; results land in bench reports, not sim output
-        auto t0 = std::chrono::steady_clock::now();
-        fn();
-        double s = std::chrono::duration<double>(
-                       // lint-allow(wall-clock): host-speedup benches time the host by design
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-        if (rep == 0 || s < best)
-            best = s;
-    }
-    return best;
-}
 
 /**
  * Parse a bench command line:

@@ -1,23 +1,61 @@
 #include "harness/runner.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "sim/logging.hh"
 
 namespace famsim {
 
+namespace {
+
+/**
+ * Environment default @p name: a parseUnsigned() value >= @p min,
+ * clamped to @p max with a warning. Unset gives @p fallback; any other
+ * value warns and gives @p fallback.
+ */
+std::uint64_t
+envUnsigned(const char* name, std::uint64_t min, std::uint64_t max,
+            std::uint64_t fallback)
+{
+    const char* env = std::getenv(name);
+    if (!env)
+        return fallback;
+    const std::optional<std::uint64_t> value = parseUnsigned(env);
+    if (!value || *value < min) {
+        warn("ignoring malformed ", name, "='", env, "'");
+        return fallback;
+    }
+    if (*value > max) {
+        warn("clamping ", name, "=", *value, " to ", max);
+        return max;
+    }
+    return *value;
+}
+
+} // namespace
+
+std::optional<std::uint64_t>
+parseUnsigned(std::string_view text)
+{
+    // from_chars takes no sign, whitespace or base prefix for an
+    // unsigned type, and reports overflow instead of wrapping.
+    std::uint64_t value = 0;
+    const char* end = text.data() + text.size();
+    auto [stop, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || stop != end)
+        return std::nullopt;
+    return value;
+}
+
 std::uint64_t
 instrBudget(std::uint64_t fallback)
 {
-    if (const char* env = std::getenv("FAMSIM_INSTR")) {
-        char* end = nullptr;
-        std::uint64_t value = std::strtoull(env, &end, 10);
-        if (end && *end == '\0' && value > 0)
-            return value;
-        warn("ignoring malformed FAMSIM_INSTR='", env, "'");
-    }
-    return fallback;
+    return envUnsigned("FAMSIM_INSTR", 1,
+                       std::numeric_limits<std::uint64_t>::max(),
+                       fallback);
 }
 
 SystemConfig
@@ -63,58 +101,17 @@ runOne(const SystemConfig& config, unsigned threads)
 unsigned
 threadsFromEnv(unsigned fallback)
 {
-    if (const char* env = std::getenv("FAMSIM_THREADS")) {
-        char* end = nullptr;
-        unsigned long value = std::strtoul(env, &end, 10);
-        if (end && *end == '\0') {
-            // Absurd widths clamp rather than fall back to serial:
-            // the kernel caps workers at the partition count anyway.
-            constexpr unsigned long kMaxThreads = 1024;
-            if (value > kMaxThreads) {
-                warn("clamping FAMSIM_THREADS=", value, " to ",
-                     kMaxThreads);
-                value = kMaxThreads;
-            }
-            return static_cast<unsigned>(value);
-        }
-        warn("ignoring malformed FAMSIM_THREADS='", env, "'");
-    }
-    return fallback;
-}
-
-std::string
-traceFromEnv()
-{
-    if (const char* env = std::getenv("FAMSIM_TRACE"))
-        return env;
-    return {};
-}
-
-bool
-profileFromEnv()
-{
-    const char* env = std::getenv("FAMSIM_PROFILE");
-    return env && *env != '\0' && std::string(env) != "0";
+    // Absurd widths clamp rather than fall back to serial: the kernel
+    // caps workers at the partition count anyway.
+    return static_cast<unsigned>(
+        envUnsigned("FAMSIM_THREADS", 0, 1024, fallback));
 }
 
 unsigned
 sweepJobsFromEnv(unsigned fallback)
 {
-    if (const char* env = std::getenv("FAMSIM_SWEEP_JOBS")) {
-        char* end = nullptr;
-        unsigned long value = std::strtoul(env, &end, 10);
-        if (end && *end == '\0' && value > 0) {
-            constexpr unsigned long kMaxSweepJobs = 1024;
-            if (value > kMaxSweepJobs) {
-                warn("clamping FAMSIM_SWEEP_JOBS=", value, " to ",
-                     kMaxSweepJobs);
-                value = kMaxSweepJobs;
-            }
-            return static_cast<unsigned>(value);
-        }
-        warn("ignoring malformed FAMSIM_SWEEP_JOBS='", env, "'");
-    }
-    return fallback;
+    return static_cast<unsigned>(
+        envUnsigned("FAMSIM_SWEEP_JOBS", 1, 1024, fallback));
 }
 
 double

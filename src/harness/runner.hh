@@ -9,8 +9,10 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "arch/system.hh"
@@ -39,7 +41,19 @@ struct RunResult {
 makeConfig(const StreamProfile& profile, ArchKind arch,
            std::uint64_t instr_limit = 0);
 
-/** Per-run instruction budget (FAMSIM_INSTR env var or @p fallback). */
+/**
+ * The one grammar for unsigned values from outside the program —
+ * famsim_cli and bench flags and the FAMSIM_* environment defaults:
+ * one or more ASCII digits and nothing else (no sign, no whitespace),
+ * at most 2^64 - 1. @return nullopt for anything else.
+ */
+[[nodiscard]] std::optional<std::uint64_t>
+parseUnsigned(std::string_view text);
+
+/**
+ * Per-run instruction budget: FAMSIM_INSTR if set to a positive
+ * integer, else @p fallback (a malformed value warns).
+ */
 [[nodiscard]] std::uint64_t instrBudget(std::uint64_t fallback);
 
 /** Extract the headline metrics from a finished System run. */
@@ -57,34 +71,19 @@ makeConfig(const StreamProfile& profile, ArchKind arch,
 /**
  * Worker-thread count requested via the FAMSIM_THREADS environment
  * variable (famsim_cli --threads overrides it); @p fallback when unset
- * or malformed. 0 means the serial reference kernel.
+ * or malformed (which warns), clamped to 1024. 0 means the serial
+ * reference kernel.
  */
 [[nodiscard]] unsigned threadsFromEnv(unsigned fallback = 0);
 
 /**
  * Sweep-point worker count requested via the FAMSIM_SWEEP_JOBS
  * environment variable (famsim_cli --sweep-jobs overrides it);
- * @p fallback when unset or malformed. Read only by the CLI, benches
- * and tests — the library itself never consults the environment,
- * mirroring FAMSIM_THREADS.
+ * @p fallback when unset, zero or malformed (which warns), clamped to
+ * 1024. Read only by the CLI, benches and tests — the library itself
+ * never consults the environment, mirroring FAMSIM_THREADS.
  */
 [[nodiscard]] unsigned sweepJobsFromEnv(unsigned fallback = 1);
-
-/**
- * Chrome-trace output path requested via the FAMSIM_TRACE environment
- * variable (famsim_cli --trace-out overrides it); empty when unset.
- * Read only by the CLI, benches and tests — the library itself never
- * consults the environment.
- */
-[[nodiscard]] std::string traceFromEnv();
-
-/**
- * Whether wall-clock profiling was requested via the FAMSIM_PROFILE
- * environment variable (famsim_cli --profile overrides it): set and
- * neither empty nor "0". Same CLI/bench/test-only contract as
- * traceFromEnv().
- */
-[[nodiscard]] bool profileFromEnv();
 
 /** Geometric mean (ignores non-positive values defensively). */
 [[nodiscard]] double geomean(const std::vector<double>& values);

@@ -96,12 +96,14 @@ FAMSIM_SWEEP_JOBS=2 "$cli" --sweep fig14_acm_size --json \
     > "$work/sweep_env.json" 2> /dev/null
 cmp -s "$work/sweep_j1.json" "$work/sweep_env.json" ||
     fail "FAMSIM_SWEEP_JOBS=2 export diverged from --sweep-jobs 1"
-FAMSIM_SWEEP_JOBS=bogus "$cli" --sweep fig14_acm_size --json \
-    > "$work/sweep_bogus.json" 2> "$work/env_err.txt" ||
-    fail "malformed FAMSIM_SWEEP_JOBS broke the run"
-grep -q "FAMSIM_SWEEP_JOBS" "$work/env_err.txt" ||
-    fail "malformed FAMSIM_SWEEP_JOBS did not warn"
-cmp -s "$work/sweep_j1.json" "$work/sweep_bogus.json" ||
-    fail "malformed FAMSIM_SWEEP_JOBS changed the export"
+for bogus in bogus -1; do
+    FAMSIM_SWEEP_JOBS=$bogus "$cli" --sweep fig14_acm_size --json \
+        > "$work/sweep_bogus.json" 2> "$work/env_err.txt" ||
+        fail "FAMSIM_SWEEP_JOBS=$bogus broke the run"
+    grep -q "ignoring malformed FAMSIM_SWEEP_JOBS" "$work/env_err.txt" ||
+        fail "FAMSIM_SWEEP_JOBS=$bogus did not warn"
+    cmp -s "$work/sweep_j1.json" "$work/sweep_bogus.json" ||
+        fail "FAMSIM_SWEEP_JOBS=$bogus changed the export"
+done
 
 echo "flag contract OK: $(wc -c < "$work/sweep_j1.json") sweep bytes stable"

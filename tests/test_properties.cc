@@ -9,6 +9,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "fam/broker.hh"
@@ -153,6 +156,85 @@ TEST(Geomean, OrderAndScaleInvariance)
     // Bounded by min/max of the positive entries.
     EXPECT_GE(geomean(values), 0.25);
     EXPECT_LE(geomean(values), 42.0);
+}
+
+// ------------------------------------------------ environment defaults
+
+/** Sets (null: unsets) one environment variable for its lifetime. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char* name, const char* value) : name_(name)
+    {
+        if (const char* old = std::getenv(name))
+            old_ = old;
+        set(value);
+    }
+    ~ScopedEnv() { set(old_ ? old_->c_str() : nullptr); }
+    ScopedEnv(const ScopedEnv&) = delete;
+    ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+  private:
+    void
+    set(const char* value)
+    {
+        if (value)
+            ::setenv(name_, value, 1);
+        else
+            ::unsetenv(name_);
+    }
+
+    const char* name_;
+    std::optional<std::string> old_;
+};
+
+TEST(EnvDefaults, AcceptOnlyWhatTheFlagsAccept)
+{
+    // The FAMSIM_* defaults take famsim_cli's flag grammar (digits
+    // only); anything else warns and falls back. Threads 0 is the
+    // serial kernel; instructions and sweep jobs must be positive.
+    // Widths above 1024 clamp.
+    struct Reader {
+        const char* var;
+        std::uint64_t (*read)(unsigned fallback);
+    };
+    const Reader readers[] = {
+        {"FAMSIM_INSTR",
+         [](unsigned fb) -> std::uint64_t { return instrBudget(fb); }},
+        {"FAMSIM_THREADS",
+         [](unsigned fb) -> std::uint64_t { return threadsFromEnv(fb); }},
+        {"FAMSIM_SWEEP_JOBS",
+         [](unsigned fb) -> std::uint64_t { return sweepJobsFromEnv(fb); }},
+    };
+    constexpr std::uint64_t kFb = 3;
+    struct Case {
+        const char* value; // null = unset
+        std::uint64_t want[3]; // instr, threads, sweep jobs
+    };
+    const Case cases[] = {
+        {nullptr, {kFb, kFb, kFb}},
+        {"7", {7, 7, 7}},
+        {"0", {kFb, 0, kFb}},
+        {"2000", {2000, 1024, 1024}},
+        {"-1", {kFb, kFb, kFb}},
+        {"+5", {kFb, kFb, kFb}},
+        {" 7", {kFb, kFb, kFb}},
+        {"7 ", {kFb, kFb, kFb}},
+        {"", {kFb, kFb, kFb}},
+        {"4x", {kFb, kFb, kFb}},
+        {"0x10", {kFb, kFb, kFb}},
+        {"18446744073709551615", {~std::uint64_t{0}, 1024, 1024}},
+        {"18446744073709551616", {kFb, kFb, kFb}}, // 2^64
+    };
+    ScopedQuietLogs quiet;
+    for (const Case& c : cases) {
+        for (std::size_t r = 0; r < 3; ++r) {
+            ScopedEnv env(readers[r].var, c.value);
+            EXPECT_EQ(readers[r].read(kFb), c.want[r])
+                << readers[r].var << "="
+                << (c.value ? "'" + std::string(c.value) + "'" : "unset");
+        }
+    }
 }
 
 // ----------------------------------------------- broker page scatter
