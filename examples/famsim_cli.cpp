@@ -4,95 +4,28 @@
  *
  * Runs one configuration and prints the headline metrics, optionally
  * the full statistics dump, and optionally records or replays a
- * workload trace.
- *
- * Usage:
- *   famsim_cli [options]
- *     --bench <name>       benchmark profile (default mcf; see --list)
- *     --arch <a>           efam | ifam | deactw | deactn (default deactn)
- *     --instr <n>          instructions per core, >= 1 (default 300000)
- *     --nodes <n>          compute nodes sharing the FAM (default 1)
- *     --cores <n>          cores per node (default 4)
- *     --stu-entries <n>    STU cache entries (default 1024)
- *     --stu-assoc <n>      STU associativity (default 8)
- *     --acm-bits <n>       ACM width: 8|16|32 (default 16)
- *     --pairs <n>          DeACT-N (tag,ACM) pairs per way (default 2)
- *     --fabric-ns <n>      one-way fabric latency in ns, >= 1 (default
- *                          450)
- *     --seed <n>           RNG seed (default 1)
- *     --warmup <f>         warmup fraction (default 0.3)
- *     --jobs <n>           tenant jobs interleaved on every core
- *                          (default 1 = single-tenant; max 64)
- *     --skew <f>           Zipfian tenant-popularity skew (default 0;
- *                          needs --jobs >= 2)
- *     --churn <n>          mean tenant residency in ops before a job
- *                          departs/arrives (default 0 = no churn;
- *                          needs --jobs >= 2)
- *     --threads <n>        simulation kernel: 0 = serial reference
- *                          (default), >= 1 = parallel conservative-
- *                          window kernel with n worker threads.
- *                          Results are byte-identical for every n >= 1;
- *                          the FAMSIM_THREADS environment variable
- *                          supplies the default
- *     --record <file>      record the workload to a trace file and exit
- *                          (.gz = gzip, .txt = text, else binary)
- *     --replay <file>      drive every core from a trace file (each
- *                          core replays its own cursor); restrict the
- *                          target with --replay-node / --replay-core,
- *                          the other cores keep the synthetic workload
- *     --replay-node <n>    only node n replays (default: all nodes)
- *     --replay-core <n>    only core n of each replaying node replays
- *     --record-scenario <name>  run a registered scenario with every
- *                          core recording its stream into the
- *                          directory given by --record (one trace per
- *                          core), print the scenario JSON
- *     --replay-scenario <name>  run a registered scenario with every
- *                          core replaying its trace from the directory
- *                          given by --replay, print the scenario JSON
- *                          (byte-identical to --scenario <name> when
- *                          the directory was written by
- *                          --record-scenario <name>)
- *     --trace-out <file>   write a Chrome trace_event JSON timeline of
- *                          the run (load in Perfetto / chrome://tracing;
- *                          byte-identical for every --threads value on
- *                          warmup-free configurations)
- *     --trace-filter <c>   packet | psim | all (default all): restrict
- *                          the trace to packet-lifecycle spans or
- *                          parallel-kernel window events
- *     --profile            attach the wall-clock profiler and export a
- *                          "profile" block (host timings, explicitly
- *                          nondeterministic) alongside the stats
- *     --stats              dump every statistic after the run
- *     --csv                dump statistics as CSV
- *     --json               dump statistics as JSON
- *     --list               list available benchmark profiles
- *     --scenario <name>    run a registered paper scenario, print JSON
- *     --list-scenarios     list registered paper scenarios, grouped by
- *                          figure/family (multitenant.* etc.)
- *     --sweep <name>       run a sensitivity sweep (Fig. 13-16); with
- *                          --json print the whole curve as one JSON
- *                          object, else a summary table
- *     --sweep-jobs <n>     host workers fanning the sweep's points out
- *                          in parallel (SweepExecutor; default 1; the
- *                          FAMSIM_SWEEP_JOBS environment variable
- *                          supplies the default). Output is
- *                          byte-identical for every n; ignored without
- *                          --sweep
- *     --list-sweeps        list registered sensitivity sweeps
- *     --help               print usage and exit 0
+ * workload trace; or runs a registered paper scenario or sweep.
+ * `famsim_cli --help` prints every flag. kFlags below is the only list
+ * of them: each row parses and range-checks its value, documents
+ * itself and names the scope a run mode may ignore.
  */
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
+#include <iomanip>
 #include <iostream>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/executor.hh"
@@ -109,93 +42,391 @@ using namespace famsim;
 
 namespace {
 
-void
-printUsage(std::ostream& os, const char* argv0)
-{
-    os << "usage: " << argv0
-       << " [--bench <name>] [--arch efam|ifam|deactw|deactn]\n"
-          "  [--instr n] [--nodes n] [--cores n] [--stu-entries n]\n"
-          "  [--stu-assoc n] [--acm-bits 8|16|32] [--pairs 1..3]\n"
-          "  [--fabric-ns n] [--seed n] [--warmup f] [--threads n]\n"
-          "  [--jobs n] [--skew f] [--churn n]\n"
-          "  [--record file] [--replay file] [--replay-node n]\n"
-          "  [--replay-core n] [--record-scenario name]\n"
-          "  [--replay-scenario name] [--stats] [--csv] [--json]\n"
-          "  [--list] [--scenario name] [--list-scenarios]\n"
-          "  [--sweep name] [--sweep-jobs n] [--list-sweeps]\n"
-          "  [--trace-out file] [--trace-filter packet|psim|all]\n"
-          "  [--profile] [--help]\n";
-}
+/** What a flag configures; a run mode ignores whole scopes. */
+enum Scope {
+    kWorkload,    //!< the synthetic op stream
+    kSystem,      //!< the simulated hardware and its tenants
+    kReplay,      //!< trace files and the cores that replay them
+    kKernel,      //!< host threads running the simulation
+    kOutput,      //!< statistics dumps of an ad-hoc run
+    kObservation, //!< trace timeline and host profile
+    kMode,        //!< what the binary does
+};
+
+/** What the binary does, from the mode flags given. */
+enum class RunMode {
+    Run,            //!< ad-hoc run of the configured System
+    Record,         //!< --record without a scenario: sample one stream
+    Scenario,       //!< --scenario
+    Sweep,          //!< --sweep
+    RecordScenario, //!< --record-scenario
+    ReplayScenario, //!< --replay-scenario
+};
+
+/** Everything the flags set. */
+struct Cli {
+    /** The ad-hoc run's System; config flags write straight into it. */
+    SystemConfig config =
+        makeConfig(profiles::byName("mcf"), ArchKind::DeactN, 300000);
+    unsigned threads = threadsFromEnv(0);
+    unsigned sweepJobs = sweepJobsFromEnv(1);
+    std::string record, replay;
+    std::optional<unsigned> replayNode, replayCore;
+    std::string scenario, sweep, recordScenario, replayScenario;
+    std::string traceOut;
+    unsigned traceFilter = TraceSink::kAll;
+    bool profile = false, stats = false, csv = false, json = false;
+    bool help = false, list = false, listScenarios = false;
+    bool listSweeps = false;
+
+    /** Valid once the mode flags are known to be mutually exclusive. */
+    [[nodiscard]] RunMode
+    mode() const
+    {
+        if (!scenario.empty()) return RunMode::Scenario;
+        if (!sweep.empty()) return RunMode::Sweep;
+        if (!recordScenario.empty()) return RunMode::RecordScenario;
+        if (!replayScenario.empty()) return RunMode::ReplayScenario;
+        if (!record.empty()) return RunMode::Record;
+        return RunMode::Run;
+    }
+};
 
 [[noreturn]] void
-usage(const char* argv0)
+usageError()
 {
-    printUsage(std::cerr, argv0);
+    std::cerr << "see --help for every flag\n";
     std::exit(2);
 }
 
-ArchKind
-parseArch(const std::string& name)
+/**
+ * One flag's value as given. The parsers validate the whole token and
+ * exit 2 naming the flag on anything else: bare std::stoul would abort
+ * on `--threads x` and accept `--threads 4x`.
+ */
+struct Arg {
+    const char* flag;
+    std::string text;
+
+    [[noreturn]] void
+    bad(const std::string& expected) const
+    {
+        std::cerr << "invalid value '" << text << "' for " << flag
+                  << " (expected " << expected << ")\n";
+        usageError();
+    }
+
+    /** A parseUnsigned() value in [min, max]. */
+    template <typename T>
+    [[nodiscard]] T
+    number(T min, T max = std::numeric_limits<T>::max()) const
+    {
+        const std::optional<std::uint64_t> v = parseUnsigned(text);
+        if (!v || *v < min || *v > max) {
+            bad("an integer in [" + std::to_string(min) + ", " +
+                std::to_string(max) + "]");
+        }
+        return static_cast<T>(*v);
+    }
+
+    /** A finite decimal number in [min, max]. */
+    [[nodiscard]] double
+    real(double min, double max) const
+    {
+        errno = 0;
+        char* end = nullptr;
+        const double v = std::strtod(text.c_str(), &end);
+        // strtod skips leading whitespace and parses "nan"/"inf"; a
+        // non-finite fraction would silently disable warmup downstream.
+        if (text.empty() ||
+            std::isspace(static_cast<unsigned char>(text.front())) != 0 ||
+            errno == ERANGE || end != text.c_str() + text.size() ||
+            !std::isfinite(v) || v < min || v > max) {
+            std::ostringstream range;
+            range << "a number in [" << min << ", " << max << "]";
+            bad(range.str());
+        }
+        return v;
+    }
+
+    /** The value of the choice named by the text. */
+    template <typename T>
+    [[nodiscard]] T
+    pick(std::initializer_list<std::pair<const char*, T>> choices) const
+    {
+        std::string names;
+        for (const auto& [name, value] : choices) {
+            if (text == name)
+                return value;
+            names += names.empty() ? "" : "|";
+            names += name;
+        }
+        bad(names);
+    }
+};
+
+/** One command-line flag. */
+struct Flag {
+    const char* name;
+    const char* hint; //!< value placeholder; nullptr for a switch
+    const char* help; //!< one line for --help, stating the default
+    Scope scope;
+    void (*set)(Cli&, const Arg&); //!< parse, range-check, store
+    const char* needs = nullptr;   //!< flag it is useless without
+};
+
+// Flag names the code reads outside their own kFlags row.
+constexpr const char* kHelpFlag = "--help";
+constexpr const char* kRecordFlag = "--record";
+constexpr const char* kReplayFlag = "--replay";
+constexpr const char* kSweepFlag = "--sweep";
+constexpr const char* kTraceOutFlag = "--trace-out";
+
+const Flag kFlags[] = {
+    {"--bench", "name", "benchmark profile (default mcf; see --list)",
+     kWorkload,
+     [](Cli& c, const Arg& a) {
+         for (const StreamProfile& p : profiles::all()) {
+             if (p.name == a.text) {
+                 c.config.profile = p;
+                 return;
+             }
+         }
+         a.bad("a profile from --list");
+     }},
+    {"--instr", "n", "instructions per core, >= 1 (default 300000)",
+     kWorkload,
+     [](Cli& c, const Arg& a) {
+         c.config.core.instructionLimit = a.number<std::uint64_t>(1);
+     }},
+    {"--seed", "n", "RNG seed (default 1)", kWorkload,
+     [](Cli& c, const Arg& a) { c.config.seed = a.number<std::uint64_t>(0); }},
+    {"--arch", "arch", "efam|ifam|deactw|deactn (default deactn)", kSystem,
+     [](Cli& c, const Arg& a) {
+         using enum ArchKind;
+         c.config.arch = a.pick<ArchKind>({{archTag(EFam), EFam},
+                                           {archTag(IFam), IFam},
+                                           {archTag(DeactW), DeactW},
+                                           {archTag(DeactN), DeactN}});
+     }},
+    {"--nodes", "n", "compute nodes sharing the FAM (default 1)", kSystem,
+     [](Cli& c, const Arg& a) { c.config.nodes = a.number(1u); }},
+    {"--cores", "n", "cores per node (default 4)", kSystem,
+     [](Cli& c, const Arg& a) { c.config.coresPerNode = a.number(1u); }},
+    {"--stu-entries", "n",
+     "STU entries, a multiple of --stu-assoc (default 1024)", kSystem,
+     [](Cli& c, const Arg& a) {
+         c.config.stu.entries = a.number<std::size_t>(1);
+     }},
+    {"--stu-assoc", "n", "STU associativity (default 8)", kSystem,
+     [](Cli& c, const Arg& a) {
+         c.config.stu.assoc = a.number<std::size_t>(1);
+     }},
+    {"--acm-bits", "n", "ACM entry width: 8, 16 or 32 (default 16)", kSystem,
+     [](Cli& c, const Arg& a) {
+         const std::optional<std::uint64_t> bits = parseUnsigned(a.text);
+         if (!bits || (*bits != 8 && *bits != 16 && *bits != 32))
+             a.bad("8, 16 or 32");
+         c.config.stu.acmBits = static_cast<unsigned>(*bits);
+     }},
+    {"--pairs", "n", "DeACT-N (tag, ACM) pairs per way, 1-3 (default 2)",
+     kSystem,
+     [](Cli& c, const Arg& a) { c.config.stu.pairsPerWay = a.number(1u, 3u); }},
+    {"--fabric-ns", "n", "one-way fabric latency in ns, >= 1 (default 450)",
+     kSystem,
+     [](Cli& c, const Arg& a) {
+         constexpr Tick kMaxNs = std::numeric_limits<Tick>::max() / kNanosecond;
+         c.config.fabric.latency = a.number<Tick>(1, kMaxNs) * kNanosecond;
+     }},
+    {"--warmup", "f", "warmup fraction, 0-1 (default 0.3)", kSystem,
+     [](Cli& c, const Arg& a) { c.config.warmupFraction = a.real(0, 1); }},
+    {"--jobs", "n", "tenant jobs on every core, 1-64 (default 1)", kSystem,
+     [](Cli& c, const Arg& a) {
+         c.config.tenancy.jobs = a.number(1u, kMaxJobs);
+     }},
+    {"--skew", "f", "Zipf tenant skew, 0-10, needs --jobs >= 2 (default 0)",
+     kSystem,
+     [](Cli& c, const Arg& a) { c.config.tenancy.zipfSkew = a.real(0, 10); }},
+    {"--churn", "n",
+     "mean tenant residency in ops, needs --jobs >= 2 (default 0: none)",
+     kSystem,
+     [](Cli& c, const Arg& a) {
+         c.config.tenancy.churnMeanOps = a.number<std::uint64_t>(0);
+     }},
+    {kRecordFlag, "path",
+     "record the workload to a trace (.gz, .txt, else binary) and exit",
+     kReplay, [](Cli& c, const Arg& a) { c.record = a.text; }},
+    {kReplayFlag, "path", "drive every core from a trace (default: none)",
+     kReplay, [](Cli& c, const Arg& a) { c.replay = a.text; }},
+    {"--replay-node", "n", "only node n replays (default: every node)",
+     kReplay, [](Cli& c, const Arg& a) { c.replayNode = a.number(0u); }},
+    {"--replay-core", "n", "only core n of each node replays (default: all)",
+     kReplay, [](Cli& c, const Arg& a) { c.replayCore = a.number(0u); }},
+    {"--threads", "n",
+     "0 = serial kernel, else parallel workers (default FAMSIM_THREADS or 0)",
+     kKernel, [](Cli& c, const Arg& a) { c.threads = a.number(0u); }},
+    {"--sweep-jobs", "n",
+     "workers for sweep points, 1-1024 (default FAMSIM_SWEEP_JOBS or 1)",
+     kKernel, [](Cli& c, const Arg& a) { c.sweepJobs = a.number(1u, 1024u); },
+     kSweepFlag},
+    {"--stats", nullptr, "dump every statistic after the run", kOutput,
+     [](Cli& c, const Arg&) { c.stats = true; }},
+    {"--csv", nullptr, "dump every statistic as CSV after the run", kOutput,
+     [](Cli& c, const Arg&) { c.csv = true; }},
+    {kTraceOutFlag, "file", "write a Chrome trace_event timeline",
+     kObservation, [](Cli& c, const Arg& a) { c.traceOut = a.text; }},
+    {"--trace-filter", "cat", "packet|psim|all: timeline events (default all)",
+     kObservation,
+     [](Cli& c, const Arg& a) {
+         c.traceFilter = a.pick<unsigned>({{"packet", TraceSink::kPacket},
+                                           {"psim", TraceSink::kPsim},
+                                           {"all", TraceSink::kAll}});
+     },
+     kTraceOutFlag},
+    {"--profile", nullptr, "export host wall-clock timings", kObservation,
+     [](Cli& c, const Arg&) { c.profile = true; }},
+    {"--json", nullptr, "print the stats, or the whole sweep, as JSON", kMode,
+     [](Cli& c, const Arg&) { c.json = true; }},
+    {"--scenario", "name", "run a registered scenario, print its JSON", kMode,
+     [](Cli& c, const Arg& a) { c.scenario = a.text; }},
+    {kSweepFlag, "name", "run a sensitivity sweep (Fig. 13-16)", kMode,
+     [](Cli& c, const Arg& a) { c.sweep = a.text; }},
+    {"--record-scenario", "name", "run a scenario, traces into --record",
+     kMode, [](Cli& c, const Arg& a) { c.recordScenario = a.text; }},
+    {"--replay-scenario", "name", "run a scenario, traces from --replay",
+     kMode, [](Cli& c, const Arg& a) { c.replayScenario = a.text; }},
+    {"--list", nullptr, "list benchmark profiles", kMode,
+     [](Cli& c, const Arg&) { c.list = true; }},
+    {"--list-scenarios", nullptr, "list scenarios and sweep points", kMode,
+     [](Cli& c, const Arg&) { c.listScenarios = true; }},
+    {"--list-sweeps", nullptr, "list sensitivity sweeps", kMode,
+     [](Cli& c, const Arg&) { c.listSweeps = true; }},
+    {kHelpFlag, nullptr, "print this help", kMode,
+     [](Cli& c, const Arg&) { c.help = true; }},
+};
+
+void
+printHelp(std::ostream& os, const char* argv0)
 {
-    if (name == "efam") return ArchKind::EFam;
-    if (name == "ifam") return ArchKind::IFam;
-    if (name == "deactw") return ArchKind::DeactW;
-    if (name == "deactn") return ArchKind::DeactN;
-    FAMSIM_FATAL("unknown architecture '", name, "'");
+    os << "usage: " << argv0 << " [flags]\n";
+    for (const Flag& flag : kFlags) {
+        std::string usage = flag.name;
+        if (flag.hint)
+            usage += std::string(" <") + flag.hint + ">";
+        os << "  " << std::left << std::setw(26) << usage << flag.help
+           << "\n";
+    }
+}
+
+/** Parse argv into @p cli; @return the flags given, in order. */
+std::vector<const Flag*>
+parse(Cli& cli, int argc, char** argv)
+{
+    std::vector<const Flag*> given;
+    for (int i = 1; i < argc; ++i) {
+        const std::string name =
+            std::strcmp(argv[i], "-h") == 0 ? kHelpFlag : argv[i];
+        const Flag* flag =
+            std::find_if(std::begin(kFlags), std::end(kFlags),
+                         [&](const Flag& f) { return name == f.name; });
+        if (flag == std::end(kFlags)) {
+            std::cerr << "unknown option '" << name << "'\n";
+            usageError();
+        }
+        Arg arg{flag->name, {}};
+        if (flag->hint) {
+            if (i + 1 >= argc) {
+                std::cerr << flag->name << " needs a value\n";
+                usageError();
+            }
+            arg.text = argv[++i];
+        }
+        flag->set(cli, arg);
+        given.push_back(flag);
+    }
+    return given;
+}
+
+constexpr const char* kPinned =
+    "; --scenario/--sweep/--record-scenario/--replay-scenario runs use "
+    "their pinned configuration";
+constexpr const char* kUnobserved =
+    " in --sweep/--record-scenario/--replay-scenario mode";
+constexpr const char* kNoSystem =
+    "; --record samples the workload stream without building a system";
+
+/**
+ * Why @p mode ignores @p flag — the end of "<flag> is ignored" — or
+ * nullptr when it reads it. Each mode names the scopes it ignores.
+ */
+const char*
+whyIgnored(RunMode mode, const Flag& flag)
+{
+    auto in = [&](std::initializer_list<Scope> scopes) {
+        return std::find(scopes.begin(), scopes.end(), flag.scope) !=
+               scopes.end();
+    };
+    switch (mode) {
+      case RunMode::Run:
+        return nullptr;
+      case RunMode::Record:
+        return in({kSystem, kKernel, kOutput, kObservation, kMode})
+                   ? kNoSystem
+                   : nullptr;
+      case RunMode::RecordScenario:
+      case RunMode::ReplayScenario:
+        // Except the capture mode's trace directory.
+        if (std::strcmp(flag.name, mode == RunMode::RecordScenario
+                                       ? kRecordFlag
+                                       : kReplayFlag) == 0)
+            return nullptr;
+        [[fallthrough]];
+      case RunMode::Sweep:
+        // The sweep runs many Systems, and the capture modes pin
+        // their own export.
+        if (in({kObservation}))
+            return kUnobserved;
+        [[fallthrough]];
+      case RunMode::Scenario:
+        return in({kWorkload, kSystem, kReplay, kOutput}) ? kPinned
+                                                          : nullptr;
+    }
+    return nullptr;
 }
 
 /**
- * Checked numeric flag parsing. Bare std::stoul would abort with an
- * uncaught exception on `--threads x` and silently accept trailing
- * garbage (`--threads 4x`); these validate the whole token and exit
- * with the usage error (code 2) instead.
+ * Warn about every given flag the run never reads: accepting one
+ * silently would let the user believe it changed what was measured.
  */
-[[noreturn]] void
-badValue(const char* argv0, const char* flag, const std::string& text,
-         const char* expected)
+void
+warnIgnored(RunMode mode, const std::vector<const Flag*>& given)
 {
-    std::cerr << "invalid value '" << text << "' for " << flag
-              << " (expected " << expected << ")\n";
-    usage(argv0);
+    auto wasGiven = [&](const char* name) {
+        return std::any_of(given.begin(), given.end(), [&](const Flag* f) {
+            return std::strcmp(f->name, name) == 0;
+        });
+    };
+    for (const Flag* flag : given) {
+        if (flag->needs && !wasGiven(flag->needs))
+            warn(flag->name, " is ignored without ", flag->needs);
+        else if (const char* why = whyIgnored(mode, *flag))
+            warn(flag->name, " is ignored", why);
+    }
 }
 
-std::uint64_t
-parseUint(const char* argv0, const char* flag, const std::string& text,
-          std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+/** A registered scenario or sweep point; exits 2 on unknown names. */
+const Scenario&
+findScenario(const std::string& name)
 {
-    const std::optional<std::uint64_t> v = parseUnsigned(text);
-    if (!v)
-        badValue(argv0, flag, text, "an unsigned integer");
-    if (*v > max)
-        badValue(argv0, flag, text, "an unsigned integer in range");
-    return *v;
-}
-
-double
-parseDouble(const char* argv0, const char* flag, const std::string& text,
-            double min, double max)
-{
-    if (text.empty() ||
-        (std::isspace(static_cast<unsigned char>(text.front())) != 0))
-        badValue(argv0, flag, text, "a number");
-    errno = 0;
-    char* end = nullptr;
-    double v = std::strtod(text.c_str(), &end);
-    // strtod happily parses "nan"/"inf"; a non-finite fraction would
-    // silently disable warmup downstream, so reject it here.
-    if (errno == ERANGE || end != text.c_str() + text.size() ||
-        !std::isfinite(v) || v < min || v > max)
-        badValue(argv0, flag, text, "a number in range");
-    return v;
-}
-
-unsigned
-parseTraceFilter(const char* argv0, const std::string& text)
-{
-    if (text == "packet") return TraceSink::kPacket;
-    if (text == "psim") return TraceSink::kPsim;
-    if (text == "all") return TraceSink::kAll;
-    badValue(argv0, "--trace-filter", text, "packet|psim|all");
+    const ScenarioRegistry& reg = ScenarioRegistry::paper();
+    const ScenarioRegistry& points = SweepRegistry::paperPoints();
+    if (reg.has(name))
+        return reg.byName(name);
+    if (points.has(name))
+        return points.byName(name);
+    std::cerr << "unknown scenario '" << name
+              << "' (try --list-scenarios)\n";
+    std::exit(2);
 }
 
 /** Flush @p sink to @p path; exits 1 on any file-system failure. */
@@ -217,479 +448,154 @@ writeTraceFile(const TraceSink& sink, const std::string& path)
               << "\n";
 }
 
-} // namespace
+void
+listScenarios()
+{
+    // Grouped by figure/family ("fig09_acm_hit_rate", "multitenant",
+    // "trace_replay", ...): names sort family-first, so one pass with
+    // a header whenever the figure changes keeps each family together.
+    // Sweep points are runnable scenarios too ("<sweep>.<label>").
+    for (const ScenarioRegistry* reg :
+         {&ScenarioRegistry::paper(), &SweepRegistry::paperPoints()}) {
+        std::string figure;
+        for (const auto& name : reg->names()) {
+            const Scenario& s = reg->byName(name);
+            if (s.figure != figure) {
+                figure = s.figure;
+                std::cout << figure << ":\n";
+            }
+            std::cout << "  " << name << "\t" << s.description << "\n";
+        }
+    }
+}
 
 int
-main(int argc, char** argv)
+runSweep(const Cli& cli)
 {
-    std::string bench = "mcf";
-    std::string arch_name = "deactn";
-    std::string record_path, replay_path;
-    std::string record_scenario, replay_scenario;
-    std::optional<unsigned> replay_node, replay_core;
-    std::uint64_t instr = 300000;
-    unsigned nodes = 1, cores = 4;
-    std::size_t stu_entries = 1024, stu_assoc = 8;
-    unsigned acm_bits = 16, pairs = 2;
-    std::uint64_t fabric_ns = 450, seed = 1;
-    double warmup = 0.3;
-    unsigned jobs = 1;
-    double skew = 0.0;
-    std::uint64_t churn = 0;
-    unsigned threads = threadsFromEnv(0);
-    unsigned sweep_jobs = sweepJobsFromEnv(1);
-    bool sweep_jobs_given = false;
-    std::string trace_out;
-    unsigned trace_filter = TraceSink::kAll;
-    bool want_profile = false;
-    bool dump_stats = false, dump_csv = false, dump_json = false;
-    bool show_help = false, list_profiles = false, list_scenarios = false;
-    bool list_sweeps = false;
-    std::string scenario_name, sweep_name;
+    const SweepRegistry& sweeps = SweepRegistry::paper();
+    if (!sweeps.has(cli.sweep)) {
+        std::cerr << "unknown sweep '" << cli.sweep
+                  << "' (try --list-sweeps)\n";
+        return 2;
+    }
+    const Sweep& sweep = sweeps.byName(cli.sweep);
+    if (cli.json) {
+        writeSweepJson(std::cout, sweep, cli.threads, cli.sweepJobs);
+        return 0;
+    }
+    ScopedQuietLogs quiet_sweep;
+    FigureReport report(sweep.name, sweep.description, sweep.axis.name,
+                        {"ipc", "fam_at%", "at_hit%", "acm_hit%"});
+    const std::vector<Scenario> points = sweep.expand();
+    std::vector<SystemConfig> configs;
+    configs.reserve(points.size());
+    for (const Scenario& point : points) {
+        std::cerr << "sweep: " << point.name << "...\n";
+        configs.push_back(point.config);
+    }
+    SweepExecutor executor(cli.sweepJobs);
+    const std::vector<RunResult> results =
+        executor.runResults(configs, cli.threads);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const RunResult& r = results[i];
+        report.addRow(points[i].name.substr(sweep.name.size() + 1),
+                      {r.ipc, r.famAtPercent, 100.0 * r.translationHitRate,
+                       100.0 * r.acmHitRate});
+    }
+    // Host wall clock per point, stderr only: the table on stdout
+    // stays byte-identical across machines and job counts.
+    const std::vector<double>& seconds = executor.pointSeconds();
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        std::cerr << "sweep: " << points[i].name << " took " << seconds[i]
+                  << " s\n";
+    }
+    report.printTable(std::cout);
+    return 0;
+}
 
-    // Parse every argument before dispatching any action, so a typo
-    // after an action flag is still diagnosed.
-    for (int i = 1; i < argc; ++i) {
-        auto need = [&](const char* flag) -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << flag << " needs a value\n";
-                usage(argv[0]);
-            }
-            return argv[++i];
-        };
-        constexpr std::uint64_t kUnsignedMax =
-            std::numeric_limits<unsigned>::max();
-        auto uintArg = [&](const char* flag,
-                           std::uint64_t max =
-                               std::numeric_limits<std::uint64_t>::max()) {
-            return parseUint(argv[0], flag, need(flag), max);
-        };
-        std::string arg = argv[i];
-        if (arg == "--bench") bench = need("--bench");
-        else if (arg == "--arch") arch_name = need("--arch");
-        else if (arg == "--instr") {
-            instr = uintArg("--instr");
-            if (instr == 0)
-                badValue(argv[0], "--instr", "0",
-                         "a positive instruction count");
-        }
-        else if (arg == "--nodes")
-            nodes = static_cast<unsigned>(uintArg("--nodes", kUnsignedMax));
-        else if (arg == "--cores")
-            cores = static_cast<unsigned>(uintArg("--cores", kUnsignedMax));
-        else if (arg == "--stu-entries")
-            stu_entries = uintArg("--stu-entries");
-        else if (arg == "--stu-assoc")
-            stu_assoc = uintArg("--stu-assoc");
-        else if (arg == "--acm-bits")
-            acm_bits = static_cast<unsigned>(
-                uintArg("--acm-bits", kUnsignedMax));
-        else if (arg == "--pairs")
-            pairs = static_cast<unsigned>(uintArg("--pairs", kUnsignedMax));
-        else if (arg == "--fabric-ns") {
-            fabric_ns = uintArg("--fabric-ns");
-            if (fabric_ns == 0)
-                badValue(argv[0], "--fabric-ns", "0",
-                         "a positive latency in ns");
-        }
-        else if (arg == "--seed") seed = uintArg("--seed");
-        else if (arg == "--warmup")
-            warmup = parseDouble(argv[0], "--warmup", need("--warmup"),
-                                 0.0, 1.0);
-        else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(uintArg("--jobs", kMaxJobs));
-            if (jobs == 0)
-                badValue(argv[0], "--jobs", "0", "1 to 64 tenant jobs");
-        }
-        else if (arg == "--skew")
-            skew = parseDouble(argv[0], "--skew", need("--skew"),
-                               0.0, 10.0);
-        else if (arg == "--churn") churn = uintArg("--churn");
-        else if (arg == "--threads")
-            threads = static_cast<unsigned>(
-                uintArg("--threads", kUnsignedMax));
-        else if (arg == "--record") record_path = need("--record");
-        else if (arg == "--replay") replay_path = need("--replay");
-        else if (arg == "--replay-node")
-            replay_node = static_cast<unsigned>(
-                uintArg("--replay-node", kUnsignedMax));
-        else if (arg == "--replay-core")
-            replay_core = static_cast<unsigned>(
-                uintArg("--replay-core", kUnsignedMax));
-        else if (arg == "--record-scenario")
-            record_scenario = need("--record-scenario");
-        else if (arg == "--replay-scenario")
-            replay_scenario = need("--replay-scenario");
-        else if (arg == "--stats") dump_stats = true;
-        else if (arg == "--csv") dump_csv = true;
-        else if (arg == "--json") dump_json = true;
-        else if (arg == "--help" || arg == "-h") show_help = true;
-        else if (arg == "--scenario")
-            scenario_name = need("--scenario");
-        else if (arg == "--list-scenarios") list_scenarios = true;
-        else if (arg == "--sweep") sweep_name = need("--sweep");
-        else if (arg == "--sweep-jobs") {
-            // Same cap as FAMSIM_SWEEP_JOBS clamping; 0 workers is
-            // meaningless (the caller always participates).
-            sweep_jobs = static_cast<unsigned>(
-                uintArg("--sweep-jobs", 1024));
-            if (sweep_jobs == 0)
-                badValue(argv[0], "--sweep-jobs", "0",
-                         "1 to 1024 sweep workers");
-            sweep_jobs_given = true;
-        }
-        else if (arg == "--trace-out") trace_out = need("--trace-out");
-        else if (arg == "--trace-filter")
-            trace_filter =
-                parseTraceFilter(argv[0], need("--trace-filter"));
-        else if (arg == "--profile") want_profile = true;
-        else if (arg == "--list-sweeps") list_sweeps = true;
-        else if (arg == "--list") list_profiles = true;
-        else {
-            std::cerr << "unknown option '" << arg << "'\n";
-            usage(argv[0]);
-        }
-    }
+void
+recordStream(const Cli& cli)
+{
+    // Ad-hoc recording samples one synthetic stream; it never builds
+    // a System.
+    StreamGen gen(cli.config.profile, kWorkloadVaBase, cli.config.seed, 0);
+    TraceWriter writer(cli.record);
+    writer.setFootprint(gen.footprintPages());
+    writer.record(gen, cli.config.core.instructionLimit);
+    writer.close();
+    std::cout << "recorded " << writer.written() << " ops ("
+              << toString(writer.format()) << ") to " << cli.record
+              << "\n";
+}
 
-    if (show_help) {
-        printUsage(std::cout, argv[0]);
-        return 0;
-    }
-    if (list_scenarios) {
-        // Grouped by figure/family ("fig09_acm_hit_rate", "multitenant",
-        // "trace_replay", ...): names sort family-first, so one pass
-        // with a header whenever the figure changes keeps each family's
-        // members together.
-        auto list_grouped = [](const ScenarioRegistry& reg) {
-            std::string figure;
-            for (const auto& name : reg.names()) {
-                const Scenario& s = reg.byName(name);
-                if (s.figure != figure) {
-                    figure = s.figure;
-                    std::cout << figure << ":\n";
-                }
-                std::cout << "  " << name << "\t" << s.description
-                          << "\n";
-            }
-        };
-        list_grouped(ScenarioRegistry::paper());
-        // Sweep points are runnable scenarios too ("<sweep>.<label>").
-        list_grouped(SweepRegistry::paperPoints());
-        return 0;
-    }
-    if (list_sweeps) {
-        for (const auto& name : SweepRegistry::paper().names()) {
-            const Sweep& sweep = SweepRegistry::paper().byName(name);
-            std::cout << name << "\t" << sweep.description << "\n";
-        }
-        return 0;
-    }
-    if (list_profiles) {
-        for (const auto& p : profiles::all()) {
-            std::cout << p.name << "\t" << p.suite << "\tMPKI "
-                      << p.paperMpki << "\n";
-        }
-        return 0;
-    }
-    const int registry_modes =
-        static_cast<int>(!scenario_name.empty()) +
-        static_cast<int>(!sweep_name.empty()) +
-        static_cast<int>(!record_scenario.empty()) +
-        static_cast<int>(!replay_scenario.empty());
-    if (registry_modes > 1) {
-        std::cerr << "--scenario, --sweep, --record-scenario and "
-                     "--replay-scenario are mutually exclusive\n";
+/**
+ * Point the ad-hoc run's cores at the --replay trace. @return 2 when
+ * --replay-node/--replay-core lie outside the system, else 0.
+ */
+int
+setUpReplay(Cli& cli)
+{
+    const std::string path = cli.replay;
+    const std::optional<unsigned> node = cli.replayNode;
+    const std::optional<unsigned> core = cli.replayCore;
+    if (node && *node >= cli.config.nodes) {
+        std::cerr << "--replay-node " << *node << " out of range (have "
+                  << cli.config.nodes << " nodes)\n";
         return 2;
     }
-    if (!record_scenario.empty() && record_path.empty()) {
-        std::cerr << "--record-scenario needs --record <dir> for the "
-                     "per-core trace files\n";
+    if (core && *core >= cli.config.coresPerNode) {
+        std::cerr << "--replay-core " << *core << " out of range (have "
+                  << cli.config.coresPerNode << " cores per node)\n";
         return 2;
     }
-    if (!replay_scenario.empty() && replay_path.empty()) {
-        std::cerr << "--replay-scenario needs --replay <dir> holding the "
-                     "per-core trace files\n";
-        return 2;
-    }
-    if (record_scenario.empty() && replay_scenario.empty() &&
-        !record_path.empty() && !replay_path.empty()) {
-        std::cerr << "--record and --replay are mutually exclusive\n";
-        return 2;
-    }
-    if ((replay_node || replay_core) && replay_path.empty()) {
-        std::cerr << "--replay-node/--replay-core need --replay <file>\n";
-        return 2;
-    }
-    if (sweep_jobs_given && sweep_name.empty()) {
-        // Point-level fan-out only exists in --sweep mode; every other
-        // mode runs exactly one configuration.
-        warn("--sweep-jobs is ignored without --sweep");
-    }
-    if ((!trace_out.empty() || want_profile) &&
-        (!sweep_name.empty() || !record_scenario.empty() ||
-         !replay_scenario.empty())) {
-        // Tracing/profiling attach to exactly one System run; the
-        // sweep fans out many and the capture/replay modes pin their
-        // own export format.
-        warn("--trace-out/--profile are ignored in --sweep/"
-             "--record-scenario/--replay-scenario mode");
-        trace_out.clear();
-        want_profile = false;
-    }
-    if (registry_modes == 1) {
-        // Scenario, sweep and scenario-capture/-replay runs use their
-        // registry-pinned configurations; accepting a config flag
-        // silently would let the user believe they changed what was
-        // measured. --stats and --csv only apply to ad-hoc runs, so
-        // they are ignored too. --record/--replay are the trace
-        // directory of --record-scenario/--replay-scenario and only
-        // then not ignored.
-        std::vector<const char*> pinned = {
-            "--bench", "--arch", "--instr", "--nodes", "--cores",
-            "--stu-entries", "--stu-assoc", "--acm-bits", "--pairs",
-            "--fabric-ns", "--seed", "--warmup", "--jobs", "--skew",
-            "--churn", "--replay-node", "--replay-core", "--stats",
-            "--csv",
-        };
-        if (record_scenario.empty())
-            pinned.push_back("--record");
-        if (replay_scenario.empty())
-            pinned.push_back("--replay");
-        for (int i = 1; i < argc; ++i) {
-            for (const char* flag : pinned) {
-                if (std::strcmp(argv[i], flag) == 0) {
-                    warn(flag, " is ignored; --scenario/--sweep/"
-                               "--record-scenario/--replay-scenario "
-                               "runs use their pinned configuration");
-                }
-            }
-        }
-    }
-    if (!record_scenario.empty() || !replay_scenario.empty()) {
-        const std::string& name = record_scenario.empty()
-                                      ? replay_scenario
-                                      : record_scenario;
-        const ScenarioRegistry& reg = ScenarioRegistry::paper();
-        const ScenarioRegistry& points = SweepRegistry::paperPoints();
-        if (!reg.has(name) && !points.has(name)) {
-            std::cerr << "unknown scenario '" << name
-                      << "' (try --list-scenarios)\n";
-            return 2;
-        }
-        const Scenario& scenario =
-            reg.has(name) ? reg.byName(name) : points.byName(name);
-        if (!record_scenario.empty()) {
-            std::cout << recordScenarioTraces(scenario, record_path,
-                                              TraceFormat::Binary,
-                                              threads);
-        } else {
-            std::cout << replayScenarioJson(scenario, replay_path,
-                                            threads);
-        }
-        return 0;
-    }
-    if (!scenario_name.empty()) {
-        // Sweep points ("fig16_num_nodes.n4") run exactly like the
-        // headline scenarios.
-        const ScenarioRegistry& reg = ScenarioRegistry::paper();
-        const ScenarioRegistry& points = SweepRegistry::paperPoints();
-        if (!reg.has(scenario_name) && !points.has(scenario_name)) {
-            std::cerr << "unknown scenario '" << scenario_name
-                      << "' (try --list-scenarios)\n";
-            return 2;
-        }
-        const Scenario& scenario = reg.has(scenario_name)
-                                       ? reg.byName(scenario_name)
-                                       : points.byName(scenario_name);
-        if (!trace_out.empty() || want_profile) {
-            // Observed run: construct the System here so the sink /
-            // profiler can attach before writeScenarioJson runs it.
-            // The stats portion of the export stays byte-identical to
-            // the plain path (observation never perturbs simulation).
-            ScopedQuietLogs quiet;
-            System system(scenario.config);
-            TraceSink sink(system.traceLanes(), trace_filter);
-            Profiler prof;
-            if (!trace_out.empty())
-                system.attachTrace(&sink);
-            if (want_profile)
-                system.attachProfiler(&prof);
-            writeScenarioJson(std::cout, scenario, system, threads);
-            std::cout << "\n";
-            if (!trace_out.empty())
-                writeTraceFile(sink, trace_out);
-            return 0;
-        }
-        // Streamed: the export goes straight to stdout as the stats
-        // registry serializes, never materializing the JSON in memory.
-        writeScenarioJson(std::cout, scenario, threads);
-        std::cout << "\n";
-        return 0;
-    }
-    if (!sweep_name.empty()) {
-        const SweepRegistry& sweeps = SweepRegistry::paper();
-        if (!sweeps.has(sweep_name)) {
-            std::cerr << "unknown sweep '" << sweep_name
-                      << "' (try --list-sweeps)\n";
-            return 2;
-        }
-        const Sweep& sweep = sweeps.byName(sweep_name);
-        if (dump_json) {
-            writeSweepJson(std::cout, sweep, threads, sweep_jobs);
-            return 0;
-        }
-        ScopedQuietLogs quiet_sweep;
-        FigureReport report(sweep.name, sweep.description,
-                            sweep.axis.name,
-                            {"ipc", "fam_at%", "at_hit%", "acm_hit%"});
-        const std::vector<Scenario> points = sweep.expand();
-        std::vector<SystemConfig> configs;
-        configs.reserve(points.size());
-        for (const Scenario& point : points) {
-            std::cerr << "sweep: " << point.name << "...\n";
-            configs.push_back(point.config);
-        }
-        SweepExecutor executor(sweep_jobs);
-        const std::vector<RunResult> results =
-            executor.runResults(configs, threads);
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            const RunResult& r = results[i];
-            report.addRow(points[i].name.substr(sweep.name.size() + 1),
-                          {r.ipc, r.famAtPercent,
-                           100.0 * r.translationHitRate,
-                           100.0 * r.acmHitRate});
-        }
-        // Host wall clock per point, stderr only: the table on stdout
-        // stays byte-identical across machines and job counts.
-        const std::vector<double>& seconds = executor.pointSeconds();
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            std::cerr << "sweep: " << points[i].name << " took "
-                      << seconds[i] << " s\n";
-        }
-        report.printTable(std::cout);
-        return 0;
-    }
-
-    StreamProfile profile = profiles::byName(bench);
-
-    if (!record_path.empty()) {
-        // Ad-hoc recording samples one synthetic stream; it never
-        // builds a System, so System-shaping flags have no effect on
-        // the trace — warn like the pinned-scenario modes do.
-        static const char* kNoSystemFlags[] = {
-            "--arch", "--nodes", "--cores", "--stu-entries",
-            "--stu-assoc", "--acm-bits", "--pairs", "--fabric-ns",
-            "--warmup", "--threads", "--jobs", "--skew", "--churn",
-            "--stats", "--csv", "--json", "--trace-out", "--profile",
-        };
-        for (int i = 1; i < argc; ++i) {
-            for (const char* flag : kNoSystemFlags) {
-                if (std::strcmp(argv[i], flag) == 0) {
-                    warn(flag, " is ignored; --record samples the "
-                               "workload stream without building a "
-                               "system");
-                }
-            }
-        }
-        StreamGen gen(profile, kWorkloadVaBase, seed, 0);
-        TraceWriter writer(record_path);
-        writer.setFootprint(gen.footprintPages());
-        writer.record(gen, instr);
-        writer.close();
-        std::cout << "recorded " << writer.written() << " ops ("
-                  << toString(writer.format()) << ") to " << record_path
+    {
+        // Open once up front so a bad trace is diagnosed before the
+        // (possibly long) system build, and to print the summary.
+        auto probe = TraceReader::open(path);
+        std::cerr << "replaying " << probe->size() << " ops ("
+                  << toString(probe->format()) << ") covering "
+                  << probe->footprintPages().size() << " pages on "
+                  << (node ? "node " + std::to_string(*node)
+                           : std::string("every node"))
+                  << ", "
+                  << (core ? "core " + std::to_string(*core)
+                           : std::string("every core"))
                   << "\n";
-        return 0;
     }
+    // Each selected core gets its own reader (own cursor); the rest
+    // fall back to the synthetic workload via nullptr.
+    cli.config.workloadFactory =
+        [path, node, core](unsigned n,
+                           unsigned c) -> std::unique_ptr<WorkloadGen> {
+        if (node && *node != n) return nullptr;
+        if (core && *core != c) return nullptr;
+        return TraceReader::open(path);
+    };
+    return 0;
+}
 
-    SystemConfig config = makeConfig(profile, parseArch(arch_name),
-                                     instr);
-    config.nodes = nodes;
-    config.coresPerNode = cores;
-    config.seed = seed;
-    config.stu.entries = stu_entries;
-    config.stu.assoc = stu_assoc;
-    config.stu.acmBits = acm_bits;
-    config.stu.pairsPerWay = pairs;
-    config.fabric.latency = fabric_ns * kNanosecond;
-    config.warmupFraction = warmup;
-    if (jobs < 2 && (skew > 0.0 || churn > 0)) {
-        warn("--skew/--churn are ignored without --jobs >= 2 "
-             "(single-tenant run)");
-    }
-    config.tenancy.jobs = jobs;
-    config.tenancy.zipfSkew = skew;
-    config.tenancy.churnMeanOps = churn;
-
-    if (!replay_path.empty()) {
-        if (replay_node && *replay_node >= nodes) {
-            std::cerr << "--replay-node " << *replay_node
-                      << " out of range (have " << nodes << " nodes)\n";
-            return 2;
-        }
-        if (replay_core && *replay_core >= cores) {
-            std::cerr << "--replay-core " << *replay_core
-                      << " out of range (have " << cores
-                      << " cores per node)\n";
-            return 2;
-        }
-        {
-            // Open once up front so a bad trace is diagnosed before the
-            // (possibly long) system build, and to print the summary.
-            auto probe = TraceReader::open(replay_path);
-            std::cerr << "replaying " << probe->size() << " ops ("
-                      << toString(probe->format()) << ") covering "
-                      << probe->footprintPages().size()
-                      << " pages on "
-                      << (replay_node
-                              ? "node " + std::to_string(*replay_node)
-                              : std::string("every node"))
-                      << ", "
-                      << (replay_core
-                              ? "core " + std::to_string(*replay_core)
-                              : std::string("every core"))
-                      << "\n";
-        }
-        // Each selected core gets its own reader (own cursor); the
-        // rest fall back to the synthetic workload via nullptr.
-        config.workloadFactory =
-            [replay_path, replay_node, replay_core](
-                unsigned node,
-                unsigned core) -> std::unique_ptr<WorkloadGen> {
-            if (replay_node && *replay_node != node) return nullptr;
-            if (replay_core && *replay_core != core) return nullptr;
-            return TraceReader::open(replay_path);
-        };
-    }
-
-    ScopedQuietLogs quiet;
-    System system(config);
-    TraceSink sink(system.traceLanes(), trace_filter);
-    Profiler prof;
-    if (!trace_out.empty())
-        system.attachTrace(&sink);
-    if (want_profile)
-        system.attachProfiler(&prof);
-
-    system.run(threads);
-
+void
+printRun(const Cli& cli, System& system, const Profiler& prof)
+{
     // In --json mode stdout carries only the JSON object (pipeable to
     // jq); the human summary goes to stderr instead.
-    std::ostream& summary = dump_json ? std::cerr : std::cout;
-    summary << "bench=" << bench << " arch=" << arch_name
-            << " nodes=" << nodes << " cores=" << cores << "\n";
+    std::ostream& summary = cli.json ? std::cerr : std::cout;
+    summary << "bench=" << cli.config.profile.name
+            << " arch=" << archTag(cli.config.arch)
+            << " nodes=" << cli.config.nodes
+            << " cores=" << cli.config.coresPerNode << "\n";
     summary << "ipc                  = " << system.ipc() << "\n";
     summary << "fam_at_percent       = " << system.famAtPercent() << "\n";
     summary << "translation_hit_rate = " << system.translationHitRate()
             << "\n";
     summary << "acm_hit_rate         = " << system.acmHitRate() << "\n";
     summary << "mpki                 = " << system.mpki() << "\n";
-    if (dump_stats)
+    if (cli.stats)
         system.sim().stats().dump(std::cout);
-    if (dump_csv)
+    if (cli.csv)
         system.sim().stats().dumpCsv(std::cout);
-    if (dump_json) {
-        if (want_profile) {
+    if (cli.json) {
+        if (cli.profile) {
             // Wrapped so the profile rides in the same JSON document;
             // plain --json output is unchanged when --profile is off.
             std::cout << "{\n  \"stats\": ";
@@ -701,12 +607,129 @@ main(int argc, char** argv)
             system.sim().stats().dumpJson(std::cout);
             std::cout << "\n";
         }
-    } else if (want_profile) {
+    } else if (cli.profile) {
         std::cout << "profile: ";
         prof.writeJson(std::cout);
         std::cout << "\n";
     }
-    if (!trace_out.empty())
-        writeTraceFile(sink, trace_out);
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    Cli cli;
+    // Parse every argument before dispatching any action, so a typo
+    // after an action flag is still diagnosed.
+    const std::vector<const Flag*> given = parse(cli, argc, argv);
+
+    if (cli.help) {
+        printHelp(std::cout, argv[0]);
+        return 0;
+    }
+    if (cli.listScenarios) {
+        listScenarios();
+        return 0;
+    }
+    if (cli.listSweeps) {
+        for (const auto& name : SweepRegistry::paper().names()) {
+            const Sweep& sweep = SweepRegistry::paper().byName(name);
+            std::cout << name << "\t" << sweep.description << "\n";
+        }
+        return 0;
+    }
+    if (cli.list) {
+        for (const auto& p : profiles::all()) {
+            std::cout << p.name << "\t" << p.suite << "\tMPKI "
+                      << p.paperMpki << "\n";
+        }
+        return 0;
+    }
+    const int registry_modes = static_cast<int>(!cli.scenario.empty()) +
+                               static_cast<int>(!cli.sweep.empty()) +
+                               static_cast<int>(!cli.recordScenario.empty()) +
+                               static_cast<int>(!cli.replayScenario.empty());
+    if (registry_modes > 1) {
+        std::cerr << "--scenario, --sweep, --record-scenario and "
+                     "--replay-scenario are mutually exclusive\n";
+        return 2;
+    }
+    if (!cli.recordScenario.empty() && cli.record.empty()) {
+        std::cerr << "--record-scenario needs --record <dir> for the "
+                     "per-core trace files\n";
+        return 2;
+    }
+    if (!cli.replayScenario.empty() && cli.replay.empty()) {
+        std::cerr << "--replay-scenario needs --replay <dir> holding the "
+                     "per-core trace files\n";
+        return 2;
+    }
+    if (cli.recordScenario.empty() && cli.replayScenario.empty() &&
+        !cli.record.empty() && !cli.replay.empty()) {
+        std::cerr << "--record and --replay are mutually exclusive\n";
+        return 2;
+    }
+    if ((cli.replayNode || cli.replayCore) && cli.replay.empty()) {
+        std::cerr << "--replay-node/--replay-core need --replay <file>\n";
+        return 2;
+    }
+    const RunMode mode = cli.mode();
+    warnIgnored(mode, given);
+
+    switch (mode) {
+      case RunMode::RecordScenario:
+        std::cout << recordScenarioTraces(findScenario(cli.recordScenario),
+                                          cli.record, TraceFormat::Binary,
+                                          cli.threads);
+        return 0;
+      case RunMode::ReplayScenario:
+        std::cout << replayScenarioJson(findScenario(cli.replayScenario),
+                                        cli.replay, cli.threads);
+        return 0;
+      case RunMode::Sweep:
+        return runSweep(cli);
+      case RunMode::Record:
+        recordStream(cli);
+        return 0;
+      case RunMode::Scenario:
+      case RunMode::Run:
+        break;
+    }
+
+    // One System, for --scenario or the ad-hoc run.
+    const Scenario* scenario =
+        mode == RunMode::Scenario ? &findScenario(cli.scenario) : nullptr;
+    if (!scenario) {
+        const TenancyParams& tenancy = cli.config.tenancy;
+        if (tenancy.jobs < 2 &&
+            (tenancy.zipfSkew > 0.0 || tenancy.churnMeanOps > 0)) {
+            warn("--skew/--churn are ignored without --jobs >= 2 "
+                 "(single-tenant run)");
+        }
+        if (!cli.replay.empty()) {
+            if (int status = setUpReplay(cli); status != 0)
+                return status;
+        }
+    }
+    ScopedQuietLogs quiet;
+    System system(scenario ? scenario->config : cli.config);
+    // Observation never perturbs the simulation: a scenario's stats
+    // export is byte-identical with or without these attached.
+    TraceSink sink(system.traceLanes(), cli.traceFilter);
+    Profiler prof;
+    if (!cli.traceOut.empty())
+        system.attachTrace(&sink);
+    if (cli.profile)
+        system.attachProfiler(&prof);
+    if (scenario) {
+        writeScenarioJson(std::cout, *scenario, system, cli.threads);
+        std::cout << "\n";
+    } else {
+        system.run(cli.threads);
+        printRun(cli, system, prof);
+    }
+    if (!cli.traceOut.empty())
+        writeTraceFile(sink, cli.traceOut);
     return 0;
 }

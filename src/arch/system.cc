@@ -98,7 +98,28 @@ SystemConfig::finalize()
         stu.org = StuOrg::DeactN;
         break;
     }
-    stu.acmBits = stu.acmBits == 0 ? 16 : stu.acmBits;
+
+    // Geometry the components would otherwise trip over mid-build
+    // (division by zero, set-assoc and ACM-width assertions).
+    if (nodes == 0)
+        FAMSIM_FATAL("nodes must be positive");
+    if (coresPerNode == 0)
+        FAMSIM_FATAL("coresPerNode must be positive");
+    if (stu.acmBits != 8 && stu.acmBits != 16 && stu.acmBits != 32)
+        FAMSIM_FATAL("stu.acmBits must be 8, 16 or 32, not ", stu.acmBits);
+    if (arch != ArchKind::EFam) {
+        if (stu.entries == 0)
+            FAMSIM_FATAL("stu.entries must be positive");
+        if (stu.assoc == 0)
+            FAMSIM_FATAL("stu.assoc must be positive");
+        if (stu.entries % stu.assoc != 0)
+            FAMSIM_FATAL("stu.entries (", stu.entries,
+                         ") must divide by stu.assoc (", stu.assoc, ")");
+    }
+    if (arch == ArchKind::DeactN &&
+        (stu.pairsPerWay < 1 || stu.pairsPerWay > 3))
+        FAMSIM_FATAL("stu.pairsPerWay must be 1 to 3 on DeACT-N, not ",
+                     stu.pairsPerWay);
 
     FAMSIM_ASSERT(tenancy.jobs >= 1 && tenancy.jobs <= kMaxJobs,
                   "tenancy.jobs must be in [1, ", kMaxJobs, "]");

@@ -52,6 +52,22 @@ toString(ArchKind arch)
 }
 
 /**
+ * @return the lower-case tag of an architecture: famsim_cli's --arch
+ * value and the last component of a scenario name.
+ */
+[[nodiscard]] constexpr const char*
+archTag(ArchKind arch)
+{
+    switch (arch) {
+      case ArchKind::EFam: return "efam";
+      case ArchKind::IFam: return "ifam";
+      case ArchKind::DeactW: return "deactw";
+      case ArchKind::DeactN: return "deactn";
+    }
+    return "?";
+}
+
+/**
  * One scheduled broker migration, fired when the lead core (node 0,
  * core 0) crosses @c atInstruction retired instructions — mid-run, so
  * traffic from every node is in flight when the broker rebinds the
@@ -135,6 +151,10 @@ struct SystemConfig {
      * Apply the architecture-specific derived settings. Fatal on a zero
      * fabric.latency or broker.serviceLatency: they are the parallel
      * kernel's lookahead floors, and a zero floor leaves it no window.
+     * Also fatal on geometry no component can build: zero nodes or
+     * cores, an ACM width other than 8/16/32 bits, an STU (every arch
+     * but E-FAM) with zero entries or ways or entries not divisible by
+     * ways, and DeACT-N pairs per way outside 1-3.
      */
     void finalize();
 };

@@ -106,21 +106,6 @@ class FabricLink : public Component, public Arbiter
                              makeDelivery(std::forward<F>(deliver)));
     }
 
-    /**
-     * Serial-mode convenience overload (tests, single-queue runs);
-     * invalid while a parallel kernel is bound.
-     */
-    template <typename F>
-    void
-    send(Channel channel, F&& deliver)
-    {
-        FAMSIM_ASSERT(!sim_.parallel(),
-                      "destination-less send on the parallel kernel");
-        checkDeliver(deliver);
-        sim_.events().schedule(departure(channel),
-                               std::forward<F>(deliver));
-    }
-
     [[nodiscard]] Tick latency() const { return params_.latency; }
     [[nodiscard]] const FabricParams& params() const { return params_; }
 

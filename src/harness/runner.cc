@@ -135,12 +135,6 @@ longHaulFabricLatency(Tick total, Tick node_link)
     return total > node_link ? total - node_link : total / 2;
 }
 
-std::vector<std::string>
-suiteNames()
-{
-    return {"SPEC", "PARSEC", "GAP"};
-}
-
 std::map<std::string, std::vector<StreamProfile>>
 sensitivityGroups()
 {

@@ -105,9 +105,6 @@ parseUnsigned(std::string_view text);
  */
 inline constexpr Tick kContendedFabricSerialization = 6 * kNanosecond;
 
-/** The benchmark suites of Table III, for Fig. 13-15 grouping. */
-[[nodiscard]] std::vector<std::string> suiteNames();
-
 /** Profiles grouped per the sensitivity figures (suites + pf + dc). */
 [[nodiscard]] std::map<std::string, std::vector<StreamProfile>>
 sensitivityGroups();

@@ -37,14 +37,7 @@ makeScenario(const std::string& figure, const std::string& description,
     // Pin the seed explicitly: goldens must not move if the
     // SystemConfig default seed ever changes.
     s.config.seed = 1;
-    std::string arch_tag;
-    switch (arch) {
-      case ArchKind::EFam: arch_tag = "efam"; break;
-      case ArchKind::IFam: arch_tag = "ifam"; break;
-      case ArchKind::DeactW: arch_tag = "deactw"; break;
-      case ArchKind::DeactN: arch_tag = "deactn"; break;
-    }
-    s.name = figure + "." + bench + "." + arch_tag;
+    s.name = figure + "." + bench + "." + archTag(arch);
     return s;
 }
 

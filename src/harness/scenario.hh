@@ -104,9 +104,9 @@ void writeScenarioJson(std::ostream& os, const Scenario& scenario,
 /**
  * writeScenarioJson against a caller-provided System: @p system must
  * have been constructed from scenario.config and not yet run — this
- * runs it and writes the export. Lets a caller time construction
- * apart from the run; output is byte-identical to the
- * self-constructing overload.
+ * runs it and writes the export. Lets a caller attach a trace sink or
+ * profiler first, or time construction apart from the run; the stats
+ * are byte-identical to the self-constructing overload's.
  */
 void writeScenarioJson(std::ostream& os, const Scenario& scenario,
                        System& system, unsigned threads);

@@ -2,7 +2,7 @@
 
 #include <ostream>
 #include <sstream>
-#include <streambuf>
+#include <string>
 
 #include "harness/executor.hh"
 #include "harness/runner.hh"
@@ -259,49 +259,6 @@ goldenSweepPointNames()
     };
 }
 
-namespace {
-
-/**
- * A streambuf filter that prepends @p indent spaces to every line it
- * forwards. The indent is emitted lazily — after a '\n', before the
- * next character — so output that ends mid-line (every scenario export
- * ends at its closing brace) never grows trailing whitespace. This is
- * what lets a sweep embed each point's scenario export without
- * materializing it: writeScenarioJson streams through the filter
- * straight into the destination.
- */
-class IndentingBuf : public std::streambuf
-{
-  public:
-    IndentingBuf(std::streambuf* dest, int indent)
-        : dest_(dest), indent_(indent)
-    {}
-
-  protected:
-    int_type
-    overflow(int_type ch) override
-    {
-        if (traits_type::eq_int_type(ch, traits_type::eof()))
-            return traits_type::not_eof(ch);
-        if (atLineStart_ && ch != '\n') {
-            for (int i = 0; i < indent_; ++i) {
-                if (dest_->sputc(' ') == traits_type::eof())
-                    return traits_type::eof();
-            }
-        }
-        atLineStart_ = ch == '\n';
-        return dest_->sputc(traits_type::to_char_type(ch));
-    }
-
-  private:
-    std::streambuf* dest_;
-    int indent_;
-    /** True immediately after a newline (indent owed to the next char). */
-    bool atLineStart_ = false;
-};
-
-} // namespace
-
 void
 writeSweepJson(std::ostream& os, const Sweep& sweep, unsigned threads,
                unsigned jobs)
@@ -332,14 +289,17 @@ writeSweepJson(std::ostream& os, const Sweep& sweep, unsigned threads,
 
     os << ",\n  \"points\": [";
     for (std::size_t i = 0; i < exports.size(); ++i) {
-        // Each point's export is nested inside the points array via
-        // the indenting filter, exactly as when it streamed directly.
+        // Nest each point's export inside the points array: four more
+        // spaces on every line that has content, so no line grows
+        // trailing whitespace.
+        const std::string& point = exports[i];
         os << (i ? "," : "") << "\n    ";
-        os.flush();
-        IndentingBuf indenter(os.rdbuf(), 4);
-        std::ostream nested(&indenter);
-        nested << exports[i];
-        nested.flush();
+        for (std::size_t c = 0; c < point.size(); ++c) {
+            os.put(point[c]);
+            if (point[c] == '\n' && c + 1 < point.size() &&
+                point[c + 1] != '\n')
+                os << "    ";
+        }
     }
     os << "\n  ]\n}\n";
 }

@@ -113,8 +113,8 @@ class SweepRegistry
 /**
  * Core of runSweepJson: writes the export directly to @p os. Every
  * point runs through the SweepExecutor (even jobs=1); the completed
- * point exports are then emitted in axis order through an indenting
- * filter, regardless of completion order. Memory is O(sum of point
+ * point exports are then emitted in axis order, indented into the
+ * points array, regardless of completion order. Memory is O(sum of point
  * exports) — the price of running points concurrently. Byte-identical
  * to runSweepJson(sweep, threads, jobs).
  */

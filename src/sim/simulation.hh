@@ -167,13 +167,6 @@ class Component
         return sim_.stats().sharedCounter(name_ + "." + leaf, desc);
     }
 
-    /** Register a scalar under this component's name prefix. */
-    Scalar&
-    statScalar(const std::string& leaf, const std::string& desc)
-    {
-        return sim_.stats().scalar(name_ + "." + leaf, desc);
-    }
-
     /** Register a histogram under this component's name prefix. */
     Histogram&
     statHistogram(const std::string& leaf, const std::string& desc,

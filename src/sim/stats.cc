@@ -124,8 +124,7 @@ StatRegistry::counter(const std::string& name, const std::string& desc)
     auto it = entries_.try_emplace(name).first;
     auto& entry = it->second;
     if (!entry.counter) {
-        FAMSIM_ASSERT(!entry.shared && !entry.scalar && !entry.histogram &&
-                          !entry.jobs,
+        FAMSIM_ASSERT(!entry.shared && !entry.histogram && !entry.jobs,
                       "stat '", name, "' re-registered with another type");
         entry.desc = desc;
         entry.counter = std::make_unique<Counter>();
@@ -143,32 +142,12 @@ StatRegistry::sharedCounter(const std::string& name,
 {
     auto& entry = entries_[name];
     if (!entry.shared) {
-        FAMSIM_ASSERT(!entry.counter && !entry.scalar && !entry.histogram &&
-                          !entry.jobs,
+        FAMSIM_ASSERT(!entry.counter && !entry.histogram && !entry.jobs,
                       "stat '", name, "' re-registered with another type");
         entry.desc = desc;
         entry.shared = std::make_unique<SharedCounter>();
     }
     return *entry.shared;
-}
-
-Scalar&
-StatRegistry::scalar(const std::string& name, const std::string& desc)
-{
-    auto it = entries_.try_emplace(name).first;
-    auto& entry = it->second;
-    if (!entry.scalar) {
-        FAMSIM_ASSERT(!entry.counter && !entry.shared && !entry.histogram &&
-                          !entry.jobs,
-                      "stat '", name, "' re-registered with another type");
-        entry.desc = desc;
-        entry.scalar = std::make_unique<Scalar>();
-#if FAMSIM_CHECK
-        entry.scalar->checkTag =
-            check::Tag{check::wiringOwnerSlot(), &it->first};
-#endif
-    }
-    return *entry.scalar;
 }
 
 Histogram&
@@ -178,8 +157,7 @@ StatRegistry::histogram(const std::string& name, const std::string& desc,
     auto it = entries_.try_emplace(name).first;
     auto& entry = it->second;
     if (!entry.histogram) {
-        FAMSIM_ASSERT(!entry.counter && !entry.shared && !entry.scalar &&
-                          !entry.jobs,
+        FAMSIM_ASSERT(!entry.counter && !entry.shared && !entry.jobs,
                       "stat '", name, "' re-registered with another type");
         entry.desc = desc;
         entry.histogram = std::make_unique<Histogram>(bucket_width, buckets);
@@ -209,8 +187,7 @@ StatRegistry::jobTable(const std::string& name, const std::string& desc,
     FAMSIM_ASSERT(jobs >= 1, "job table '", name, "' needs >= 1 slot");
     auto& entry = entries_[name];
     if (!entry.jobs) {
-        FAMSIM_ASSERT(!entry.counter && !entry.shared && !entry.scalar &&
-                          !entry.histogram,
+        FAMSIM_ASSERT(!entry.counter && !entry.shared && !entry.histogram,
                       "stat '", name, "' re-registered with another type");
         entry.desc = desc;
         entry.jobs = std::make_unique<JobStatTable>(jobs);
@@ -228,8 +205,6 @@ StatRegistry::get(const std::string& name) const
         FAMSIM_PANIC("unknown stat '", name, "'");
     if (std::uint64_t count = 0; it->second.countValue(count))
         return static_cast<double>(count);
-    if (it->second.scalar)
-        return it->second.scalar->value();
     if (it->second.histogram)
         return it->second.histogram->mean();
     FAMSIM_PANIC("stat '", name,
@@ -253,8 +228,6 @@ StatRegistry::sumMatching(const std::string& suffix) const
                          suffix) == 0) {
             if (std::uint64_t count = 0; entry.countValue(count))
                 sum += static_cast<double>(count);
-            else if (entry.scalar)
-                sum += entry.scalar->value();
         }
     }
     return sum;
@@ -286,8 +259,6 @@ StatRegistry::resetAll()
             entry.counter->reset();
         if (entry.shared)
             entry.shared->reset();
-        if (entry.scalar)
-            entry.scalar->reset();
         if (entry.histogram)
             entry.histogram->reset();
         if (entry.jobs)
@@ -302,8 +273,6 @@ StatRegistry::dump(std::ostream& os) const
         os << std::left << std::setw(52) << name << " ";
         if (std::uint64_t count = 0; entry.countValue(count)) {
             os << std::setw(16) << count;
-        } else if (entry.scalar) {
-            os << std::setw(16) << entry.scalar->value();
         } else if (entry.histogram) {
             os << "samples=" << entry.histogram->samples()
                << " mean=" << entry.histogram->mean()
@@ -324,8 +293,6 @@ StatRegistry::dumpCsv(std::ostream& os) const
     for (const auto& [name, entry] : entries_) {
         if (std::uint64_t count = 0; entry.countValue(count))
             os << name << "," << count << "\n";
-        else if (entry.scalar)
-            os << name << "," << entry.scalar->value() << "\n";
         else if (entry.jobs)
             for (unsigned j = 0; j < entry.jobs->jobs(); ++j)
                 os << name << "[" << j << "]," << entry.jobs->value(j)
@@ -349,8 +316,6 @@ StatRegistry::dumpJson(std::ostream& os, int indent) const
         os << ": ";
         if (std::uint64_t count = 0; entry.countValue(count)) {
             os << count;
-        } else if (entry.scalar) {
-            json::writeNumber(os, entry.scalar->value());
         } else if (entry.histogram) {
             const Histogram& h = *entry.histogram;
             os << "{\"samples\": " << h.samples() << ", \"mean\": ";

@@ -1,6 +1,6 @@
 /**
  * @file
- * Statistics collection: counters, scalars, histograms and a registry.
+ * Statistics collection: counters, histograms and a registry.
  *
  * Every component registers named statistics with the simulation's
  * StatRegistry. Names are hierarchical ("node0.core1.l1d.hits"). The
@@ -161,30 +161,6 @@ class JobStatTable
     std::vector<std::atomic<std::uint64_t>> slots_;
 };
 
-/** A floating-point scalar statistic (set, not accumulated). */
-class Scalar
-{
-  public:
-    Scalar&
-    operator=(double v)
-    {
-        FAMSIM_CHECK_STAT(checkTag, "scalar write");
-        value_ = v;
-        return *this;
-    }
-
-    [[nodiscard]] double value() const { return value_; }
-    void reset() { value_ = 0.0; }
-
-#if FAMSIM_CHECK
-    /** Owner stamp, set by StatRegistry at creation (wiring owner). */
-    check::Tag checkTag;
-#endif
-
-  private:
-    double value_ = 0.0;
-};
-
 /** A fixed-bucket histogram with mean/max tracking. */
 class Histogram
 {
@@ -241,8 +217,6 @@ class StatRegistry
     /** Create (or fetch) a thread-shared counter. */
     SharedCounter& sharedCounter(const std::string& name,
                                  const std::string& desc);
-    /** Create (or fetch) a scalar. */
-    Scalar& scalar(const std::string& name, const std::string& desc);
     /** Create (or fetch) a histogram. */
     Histogram& histogram(const std::string& name, const std::string& desc,
                          std::uint64_t bucket_width = 1,
@@ -268,7 +242,7 @@ class StatRegistry
 
     /**
      * Value lookup by full name: counters and shared counters return
-     * their count, scalars their value, histograms their mean. Unknown
+     * their count, histograms their mean. Unknown
      * names and unsupported kinds (per-job tables have no single
      * value) panic rather than returning something misleading.
      */
@@ -307,7 +281,6 @@ class StatRegistry
         std::string desc;
         std::unique_ptr<Counter> counter;
         std::unique_ptr<SharedCounter> shared;
-        std::unique_ptr<Scalar> scalar;
         std::unique_ptr<Histogram> histogram;
         std::unique_ptr<JobStatTable> jobs;
         /** Emit p50/p95/p99 in dumpJson (histogramWithPercentiles). */

@@ -1,10 +1,12 @@
 #!/bin/sh
 # CLI flag contract for famsim_cli: checked numeric parsing must
-# reject garbage with exit 2 (not silently truncate or abort), and
-# flags that a mode ignores must say so on stderr while the run still
-# succeeds. Covers the --sweep-jobs executor flag end to end: parse
-# errors, the ignored-without---sweep warning, the FAMSIM_SWEEP_JOBS
-# default, and byte-identical sweep JSON across job counts.
+# reject garbage and out-of-range values with exit 2 naming the flag
+# (not silently truncate or abort), a System no STU can be built for
+# is a config fatal (exit 1), and flags that a mode ignores must say so
+# on stderr while the run still succeeds. Covers the --sweep-jobs
+# executor flag end to end: parse errors, the ignored-without---sweep
+# warning, the FAMSIM_SWEEP_JOBS default, and byte-identical sweep JSON
+# across job counts.
 #
 # Usage: cli_flags.sh <path-to-famsim_cli>
 set -eu
@@ -53,6 +55,48 @@ else
 fi
 grep -q "for --instr" "$work/err.txt" ||
     fail "--instr 0 error does not name the flag"
+
+# --- out-of-range config values exit 2 and name the flag, every mode
+for bad in "--cores 0" "--nodes 0" "--stu-entries 0" "--stu-assoc 0" \
+    "--acm-bits 0" "--acm-bits 7" "--pairs 0" "--pairs 4" "--arch bogus" \
+    "--bench bogus"; do
+    flag=${bad%% *}
+    # $bad splits into the flag and its value.
+    if "$cli" --instr 2000 $bad > /dev/null 2> "$work/err.txt"; then
+        fail "$bad was accepted"
+    else
+        status=$?
+        [ "$status" -eq 2 ] || fail "$bad exited $status, expected 2"
+    fi
+    grep -q "for $flag " "$work/err.txt" ||
+        fail "$bad error does not name the flag"
+done
+if "$cli" --scenario fig14_acm_size.b16 --arch bogus \
+    > /dev/null 2> "$work/err.txt"; then
+    fail "--arch bogus was accepted under --scenario"
+else
+    status=$?
+    [ "$status" -eq 2 ] ||
+        fail "--scenario with --arch bogus exited $status, expected 2"
+fi
+
+# --- geometry no STU can build is a config fatal, not an abort ------
+if "$cli" --instr 2000 --stu-entries 100 > /dev/null 2> "$work/err.txt"
+then
+    fail "--stu-entries 100 with 8 ways was accepted"
+else
+    status=$?
+    [ "$status" -eq 1 ] ||
+        fail "--stu-entries 100 exited $status, expected 1"
+fi
+grep -q "^fatal: stu.entries" "$work/err.txt" ||
+    fail "--stu-entries 100 did not report a config fatal"
+
+# --- an unused --trace-filter warns ---------------------------------
+"$cli" --instr 2000 --trace-filter psim > /dev/null 2> "$work/warn.txt" ||
+    fail "--trace-filter without --trace-out broke the run"
+grep -q "warn: --trace-filter is ignored without --trace-out" \
+    "$work/warn.txt" || fail "missing unused --trace-filter warning"
 
 # --- --sweep-jobs without --sweep warns but still runs --------------
 "$cli" --bench mcf --instr 2000 --sweep-jobs 2 \

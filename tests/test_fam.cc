@@ -476,8 +476,7 @@ TEST(FabricLink, PropagationAndSerialization)
 
     std::vector<Tick> arrivals;
     for (int i = 0; i < 3; ++i) {
-        link.send(FabricLink::Request,
-                  [&] { arrivals.push_back(sim.curTick()); });
+        link.sendRequest(0, [&] { arrivals.push_back(sim.curTick()); });
     }
     sim.run();
     ASSERT_EQ(arrivals.size(), 3u);
@@ -495,8 +494,8 @@ TEST(FabricLink, ChannelsAreIndependent)
     FabricLink link(sim, "fabric", params);
 
     Tick req = 0, resp = 0;
-    link.send(FabricLink::Request, [&] { req = sim.curTick(); });
-    link.send(FabricLink::Response, [&] { resp = sim.curTick(); });
+    link.sendRequest(0, [&] { req = sim.curTick(); });
+    link.sendResponse(0, [&] { resp = sim.curTick(); });
     sim.run();
     EXPECT_EQ(req, 100 * kNanosecond);
     EXPECT_EQ(resp, 100 * kNanosecond); // no cross-channel queueing

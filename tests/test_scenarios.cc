@@ -267,24 +267,12 @@ TEST(SweepJson, SameSeedSameBytes)
 // ---------------------------------------------------------- curve gate
 
 /**
- * Relative tolerance of the fig16 curve gate. The byte-exact goldens
- * above catch *any* behaviour change; this gate instead bounds how far
- * a deliberate change may move the node-scaling curve before someone
- * must re-baseline it consciously. FAMSIM_CURVE_TOLERANCE overrides
- * the default (e.g. a CI job that tolerates more drift).
+ * Relative tolerance of the curve gates. The byte-exact goldens above
+ * catch *any* behaviour change; these gates instead bound how far a
+ * deliberate change may move a sensitivity curve before someone must
+ * re-baseline it consciously.
  */
-double
-curveTolerance()
-{
-    constexpr double kDefault = 0.05;
-    if (const char* env = std::getenv("FAMSIM_CURVE_TOLERANCE")) {
-        char* end = nullptr;
-        double v = std::strtod(env, &end);
-        if (end != nullptr && *end == '\0' && v > 0.0)
-            return v;
-    }
-    return kDefault;
-}
+constexpr double kCurveTolerance = 0.05;
 
 /**
  * Curve gate shared by every sensitivity sweep: the @p labels points
@@ -330,7 +318,6 @@ checkCurveGate(const std::string& sweep_name,
     ASSERT_FALSE(baseline.empty())
         << "missing curve baseline " << path
         << " (regenerate with FAMSIM_UPDATE_GOLDEN=1)";
-    const double tolerance = curveTolerance();
     for (std::size_t i = 0; i < labels.size(); ++i) {
         const std::string key = "\"" + labels[i] + "\": ";
         const std::size_t at = baseline.find(key);
@@ -340,10 +327,10 @@ checkCurveGate(const std::string& sweep_name,
             std::strtod(baseline.c_str() + at + key.size(), nullptr);
         ASSERT_GT(expected, 0.0) << "degenerate baseline ipc";
         const double rel = std::abs(actual[i] - expected) / expected;
-        EXPECT_LE(rel, tolerance)
+        EXPECT_LE(rel, kCurveTolerance)
             << sweep_name << "." << labels[i] << " ipc " << actual[i]
             << " drifted " << 100.0 * rel << "% from baseline "
-            << expected << " (tolerance " << 100.0 * tolerance
+            << expected << " (tolerance " << 100.0 * kCurveTolerance
             << "%); re-baseline with FAMSIM_UPDATE_GOLDEN=1 if "
                "intentional";
     }

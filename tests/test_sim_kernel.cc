@@ -49,15 +49,9 @@ TEST(Stats, TypeMismatchPanics)
     ScopedThrowOnError guard;
     StatRegistry reg;
     reg.counter("x", "counter");
-    EXPECT_THROW(reg.scalar("x", "scalar"), SimError);
-}
-
-TEST(Stats, ScalarHoldsValue)
-{
-    StatRegistry reg;
-    Scalar& s = reg.scalar("ipc", "test");
-    s = 1.25;
-    EXPECT_DOUBLE_EQ(reg.get("ipc"), 1.25);
+    EXPECT_THROW(reg.histogram("x", "histogram"), SimError);
+    EXPECT_THROW(reg.sharedCounter("x", "shared"), SimError);
+    EXPECT_THROW(reg.jobTable("x", "table", 2), SimError);
 }
 
 TEST(Stats, UnknownStatPanics)
@@ -180,16 +174,16 @@ TEST(Stats, JsonDumpIsValidAndSorted)
 {
     StatRegistry reg;
     reg.counter("zeta.count", "a counter") += 7;
-    reg.scalar("alpha.ipc", "a scalar") = 1.25;
+    reg.jobTable("alpha.jobs", "a job table", 2).add(1, 3);
     reg.histogram("mid.lat", "a histogram", 10, 2).sample(15);
 
     const std::string json = reg.jsonString();
     EXPECT_NE(json.find("\"zeta.count\": 7"), std::string::npos);
-    EXPECT_NE(json.find("\"alpha.ipc\": 1.25"), std::string::npos);
+    EXPECT_NE(json.find("\"alpha.jobs\": [0, 3]"), std::string::npos);
     EXPECT_NE(json.find("\"samples\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"buckets\": [0, 1]"), std::string::npos);
     // Map iteration order: alpha before mid before zeta.
-    EXPECT_LT(json.find("alpha.ipc"), json.find("mid.lat"));
+    EXPECT_LT(json.find("alpha.jobs"), json.find("mid.lat"));
     EXPECT_LT(json.find("mid.lat"), json.find("zeta.count"));
     EXPECT_EQ(json.front(), '{');
     EXPECT_EQ(json.back(), '\n');

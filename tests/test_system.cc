@@ -184,6 +184,39 @@ TEST(SystemConfig, RejectsZeroLookahead)
     EXPECT_THROW(System{broker}, SimError);
 }
 
+TEST(SystemConfig, RejectsGeometryNoComponentCanBuild)
+{
+    // finalize() must reject each before a component divides by it,
+    // indexes with it or asserts on it.
+    const std::pair<const char*, void (*)(SystemConfig&)> cases[] = {
+        {"nodes 0", [](SystemConfig& c) { c.nodes = 0; }},
+        {"cores 0", [](SystemConfig& c) { c.coresPerNode = 0; }},
+        {"stu entries 0", [](SystemConfig& c) { c.stu.entries = 0; }},
+        {"stu assoc 0", [](SystemConfig& c) { c.stu.assoc = 0; }},
+        {"stu entries 100 of 8 ways",
+         [](SystemConfig& c) { c.stu.entries = 100; }},
+        {"acm bits 0", [](SystemConfig& c) { c.stu.acmBits = 0; }},
+        {"acm bits 7", [](SystemConfig& c) { c.stu.acmBits = 7; }},
+        {"pairs 0", [](SystemConfig& c) { c.stu.pairsPerWay = 0; }},
+        {"pairs 4", [](SystemConfig& c) { c.stu.pairsPerWay = 4; }},
+    };
+    ScopedThrowOnError guard;
+    for (const auto& [name, spoil] : cases) {
+        SystemConfig config = smallConfig(ArchKind::DeactN);
+        spoil(config);
+        EXPECT_THROW(System{config}, SimError) << name;
+    }
+    // Geometry of a structure the architecture does not build is not
+    // checked: E-FAM has no STU, only DeACT-N has pairs per way.
+    ScopedQuietLogs quiet;
+    SystemConfig efam = smallConfig(ArchKind::EFam);
+    efam.stu.entries = 100;
+    EXPECT_NO_THROW(System{efam});
+    SystemConfig ifam = smallConfig(ArchKind::IFam);
+    ifam.stu.pairsPerWay = 4;
+    EXPECT_NO_THROW(System{ifam});
+}
+
 TEST(MultiNode, TwoNodesShareFabricAndFam)
 {
     ScopedQuietLogs quiet;
