@@ -28,31 +28,30 @@ class DirectFamPath : public Component, public MemSink
     }
 
     void
-    access(const PktPtr& pkt) override
+    access(PktPtr pkt) override
     {
         FAMSIM_ASSERT(pkt->hasFam,
                       "E-FAM path requires a direct FAM address");
         ++accesses_;
         // E-FAM performs no system-level vetting (Table I: insecure).
         pkt->accessGranted = true;
-        auto orig = std::move(pkt->onDone);
-        pkt->onDone = nullptr;
-        // Move the continuation hop to hop (it runs exactly once);
-        // copying would deep-copy the capture chain per traversal.
-        pkt->onDone = [this, pkt, orig = std::move(orig)](Packet&) mutable {
-            fabric_.sendResponse(node_,
-                                 [this, pkt,
-                                  orig = std::move(orig)]() mutable {
+        // The media's completion pops this hop, which carries the
+        // response back; it takes its own handle (the module drops
+        // its handle once the hop returns).
+        pkt->pushHop([this](Packet& p) {
+            fabric_.sendResponse(node_, [this, pkt = PktPtr(&p)]() mutable {
                 sim_.events().scheduleAfter(
-                    nodeLink_, [pkt, orig = std::move(orig)] {
-                        if (orig)
-                            orig(*pkt);
-                    });
+                    nodeLink_,
+                    [pkt = std::move(pkt)] { pkt->complete(); });
             });
-        };
-        sim_.events().scheduleAfter(nodeLink_, [this, pkt] {
-            fabric_.sendRequest(media_.moduleOf(pkt->fam.value()),
-                                [this, pkt] { media_.access(pkt); });
+        });
+        sim_.events().scheduleAfter(nodeLink_,
+                                    [this, pkt = std::move(pkt)]() mutable {
+            unsigned module = media_.moduleOf(pkt->fam.value());
+            fabric_.sendRequest(module,
+                                [this, pkt = std::move(pkt)]() mutable {
+                                    media_.access(std::move(pkt));
+                                });
         });
     }
 
@@ -71,9 +70,9 @@ class StuFamPath : public MemSink
     explicit StuFamPath(Stu& stu) : stu_(stu) {}
 
     void
-    access(const PktPtr& pkt) override
+    access(PktPtr pkt) override
     {
-        stu_.handleFromNode(pkt);
+        stu_.handleFromNode(std::move(pkt));
     }
 
   private:

@@ -22,14 +22,16 @@ CacheLevel::CacheLevel(Simulation& sim, const std::string& name,
 }
 
 void
-CacheLevel::access(const PktPtr& pkt)
+CacheLevel::access(PktPtr pkt)
 {
     sim_.events().scheduleAfter(params_.latency,
-                                [this, pkt] { lookup(pkt); });
+                                [this, pkt = std::move(pkt)]() mutable {
+                                    lookup(std::move(pkt));
+                                });
 }
 
 void
-CacheLevel::lookup(const PktPtr& pkt)
+CacheLevel::lookup(PktPtr pkt)
 {
     std::uint64_t block_key = pkt->npa.value() / kBlockSize;
     if (LineMeta* meta = tags_.lookup(block_key)) {
@@ -43,48 +45,46 @@ CacheLevel::lookup(const PktPtr& pkt)
     if (pkt->writeback) {
         // Dirty evictions never allocate here; pass them down toward
         // memory (they may still terminate in a lower cache level).
-        next_.access(pkt);
+        next_.access(std::move(pkt));
         return;
     }
 
     ++misses_;
     auto [it, first] = mshrs_.try_emplace(block_key);
-    it->second.push_back(pkt);
     if (!first) {
         ++mshrMerges_;
+        it->second.push_back(std::move(pkt));
         return;
     }
 
     // Issue the fill to the next level. The fill inherits the kind and
-    // origin of the packet that triggered it.
+    // origin of the packet that triggered it, which waits in the MSHR.
     PktPtr fill = makePacket(pkt->node, pkt->core, MemOp::Read, pkt->kind);
     fill->logicalNode = pkt->logicalNode;
     fill->job = pkt->job;
     fill->npa = NPAddr(pkt->npa.blockAddr().value());
     fill->vaddr = pkt->vaddr;
     fill->issued = sim_.curTick();
-    fill->onDone = [this, block_key](Packet& p) {
-        handleFill(block_key, nullptr);
-        (void)p;
-    };
-    next_.access(fill);
+    fill->onDone = [this, block_key](Packet&) { handleFill(block_key); };
+    it->second.push_back(std::move(pkt));
+    next_.access(std::move(fill));
 }
 
 void
-CacheLevel::handleFill(std::uint64_t block_key, const PktPtr&)
+CacheLevel::handleFill(std::uint64_t block_key)
 {
     auto it = mshrs_.find(block_key);
     FAMSIM_ASSERT(it != mshrs_.end(), "fill for unknown MSHR in ", name());
-    std::vector<PktPtr> waiters = std::move(it->second);
+    PktWaiters waiters = std::move(it->second);
     mshrs_.erase(it);
     FAMSIM_ASSERT(!waiters.empty(), "MSHR with no waiters in ", name());
 
     LineMeta meta;
     meta.kind = waiters.front()->kind;
-    for (const auto& w : waiters) {
+    waiters.forEach([&meta](const PktPtr& w) {
         if (w->isWrite())
             meta.dirty = true;
-    }
+    });
 
     auto evicted = tags_.insert(block_key, meta);
     if (evicted && evicted->value.dirty) {
@@ -98,11 +98,10 @@ CacheLevel::handleFill(std::uint64_t block_key, const PktPtr&)
         wb->writeback = true;
         wb->issued = sim_.curTick();
         wb->onDone = [](Packet&) {}; // fire and forget
-        next_.access(wb);
+        next_.access(std::move(wb));
     }
 
-    for (auto& w : waiters)
-        w->complete();
+    waiters.forEach([](const PktPtr& w) { w->complete(); });
 }
 
 void

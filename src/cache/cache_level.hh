@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "cache/set_assoc.hh"
 #include "mem/mem_sink.hh"
@@ -45,7 +44,7 @@ class CacheLevel : public Component, public MemSink
     CacheLevel(Simulation& sim, const std::string& name,
                const CacheParams& params, MemSink& next);
 
-    void access(const PktPtr& pkt) override;
+    void access(PktPtr pkt) override;
 
     /** Drop every line (used by tests and job migration). */
     void invalidateAll();
@@ -61,14 +60,14 @@ class CacheLevel : public Component, public MemSink
         PacketKind kind = PacketKind::Data;
     };
 
-    void lookup(const PktPtr& pkt);
-    void handleFill(std::uint64_t block_key, const PktPtr& fill_pkt);
+    void lookup(PktPtr pkt);
+    void handleFill(std::uint64_t block_key);
 
     CacheParams params_;
     MemSink& next_;
     SetAssocCache<LineMeta> tags_;
     /** Outstanding misses: block -> waiting packets. */
-    U64FlatMap<std::vector<PktPtr>> mshrs_;
+    U64FlatMap<PktWaiters> mshrs_;
 
     Counter& hits_;
     Counter& misses_;

@@ -40,28 +40,26 @@ FamTranslator::FamTranslator(Simulation& sim, const std::string& name,
 }
 
 void
-FamTranslator::access(const PktPtr& pkt)
+FamTranslator::access(PktPtr pkt)
 {
     FAMSIM_ASSERT(pkt, "null packet at FAM translator");
     if (!pkt->isWrite() && params_.maxOutstanding != 0 &&
         outstanding_ >= params_.maxOutstanding) {
         ++stalls_;
-        stallQueue_.push_back(pkt);
+        stallQueue_.push_back(std::move(pkt));
         return;
     }
-    startLookup(pkt);
+    startLookup(std::move(pkt));
 }
 
 void
-FamTranslator::startLookup(const PktPtr& pkt)
+FamTranslator::startLookup(PktPtr pkt)
 {
-    if (!pkt->isWrite())
-        ++outstanding_;
-    // Wrap the completion so responses free an outstanding-list slot
-    // and wake stalled requests.
+    // A read holds an outstanding-list slot until its response; the
+    // completion hop frees it and wakes a stalled request.
     if (!pkt->isWrite()) {
-        auto orig = std::move(pkt->onDone);
-        pkt->onDone = [this, orig = std::move(orig)](Packet& p) {
+        ++outstanding_;
+        pkt->pushHop([this](Packet& p) {
             FAMSIM_ASSERT(outstanding_ > 0,
                           "outstanding mapping list underflow");
             --outstanding_;
@@ -69,20 +67,22 @@ FamTranslator::startLookup(const PktPtr& pkt)
                 outstanding_ < params_.maxOutstanding) {
                 PktPtr next = std::move(stallQueue_.front());
                 stallQueue_.pop_front();
-                startLookup(next);
+                startLookup(std::move(next));
             }
-            if (orig)
-                orig(p);
-        };
+            p.complete();
+        });
     }
 
     // Fetch the 64 B translation-cache line from local DRAM (step 2).
     ++lookups_;
     ++dramReads_;
     Tick start = sim_.curTick();
-    readDram(pkt->npa.pageNumber(), MemOp::Read, [this, pkt, start] {
+    std::uint64_t npa_page = pkt->npa.pageNumber();
+    readDram(npa_page, MemOp::Read,
+             [this, pkt = std::move(pkt), start]() mutable {
         sim_.events().scheduleAfter(
-            params_.tagMatchLatency, [this, pkt, start] {
+            params_.tagMatchLatency,
+            [this, pkt = std::move(pkt), start]() mutable {
                 Tick now = sim_.curTick();
                 if (obsLookup_)
                     obsLookup_->sample((now - start) / kNanosecond);
@@ -91,13 +91,13 @@ FamTranslator::startLookup(const PktPtr& pkt)
                     trace->span(TraceSink::kPacket, stu_.node(),
                                 "translator.lookup", start, now);
                 }
-                finishLookup(pkt);
+                finishLookup(std::move(pkt));
             });
     });
 }
 
 void
-FamTranslator::finishLookup(const PktPtr& pkt)
+FamTranslator::finishLookup(PktPtr pkt)
 {
     std::uint64_t npa_page = pkt->npa.pageNumber();
     if (std::uint64_t* fam_page = cache_.lookup(npa_page)) {
@@ -105,7 +105,7 @@ FamTranslator::finishLookup(const PktPtr& pkt)
         pkt->fam = FamAddr(*fam_page * kPageSize + pkt->npa.pageOffset());
         pkt->hasFam = true;
         pkt->verified = true; // 'V' flag set: STU skips the walk
-        forward(pkt);
+        forward(std::move(pkt));
         return;
     }
 
@@ -114,7 +114,7 @@ FamTranslator::finishLookup(const PktPtr& pkt)
     if (!first) {
         // A walk for this page is already in flight at the STU.
         ++coalesced_;
-        it->second.push_back(pkt);
+        it->second.push_back(std::move(pkt));
         return;
     }
     // First miss rides to the STU with V = 0; the STU walks the FAM
@@ -122,13 +122,13 @@ FamTranslator::finishLookup(const PktPtr& pkt)
     // returns the mapping via onMapping().
     pkt->verified = false;
     pkt->hasFam = false;
-    forward(pkt);
+    forward(std::move(pkt));
 }
 
 void
-FamTranslator::forward(const PktPtr& pkt)
+FamTranslator::forward(PktPtr pkt)
 {
-    stu_.handleFromNode(pkt);
+    stu_.handleFromNode(std::move(pkt));
 }
 
 void
@@ -144,22 +144,21 @@ FamTranslator::onMapping(std::uint64_t npa_page, std::uint64_t fam_page)
             auto it = pending_.find(npa_page);
             if (it == pending_.end())
                 return;
-            std::vector<PktPtr> waiters = std::move(it->second);
+            PktWaiters waiters = std::move(it->second);
             pending_.erase(it);
-            for (auto& w : waiters) {
+            waiters.forEach([this, fam_page](PktPtr& w) {
                 w->fam = FamAddr(fam_page * kPageSize +
                                  w->npa.pageOffset());
                 w->hasFam = true;
                 w->verified = true;
-                forward(w);
-            }
+                forward(std::move(w));
+            });
         });
     });
 }
 
 void
-FamTranslator::readDram(std::uint64_t npa_page, MemOp op,
-                        std::function<void()> done)
+FamTranslator::readDram(std::uint64_t npa_page, MemOp op, DramDone done)
 {
     std::uint64_t set = npa_page % cache_.sets();
     std::uint64_t addr = params_.dramCacheBase + set * kBlockSize;
@@ -167,7 +166,7 @@ FamTranslator::readDram(std::uint64_t npa_page, MemOp op,
     pkt->npa = NPAddr(addr);
     pkt->issued = sim_.curTick();
     pkt->onDone = [done = std::move(done)](Packet&) { done(); };
-    dram_.access(pkt, addr);
+    dram_.access(std::move(pkt), addr);
 }
 
 void

@@ -26,10 +26,10 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <vector>
 
 #include "cache/set_assoc.hh"
 #include "sim/flat_map.hh"
+#include "sim/inline_function.hh"
 #include "mem/banked_memory.hh"
 #include "mem/mem_sink.hh"
 #include "sim/simulation.hh"
@@ -64,7 +64,7 @@ class FamTranslator : public Component, public MemSink
                   Stu& stu);
 
     /** Accept a FAM-zone request from the memory controller. */
-    void access(const PktPtr& pkt) override;
+    void access(PktPtr pkt) override;
 
     /**
      * Mapping response from the STU's FAM page-table walker (step 5 in
@@ -87,11 +87,13 @@ class FamTranslator : public Component, public MemSink
     [[nodiscard]] std::size_t cacheSets() const { return cache_.sets(); }
 
   private:
-    void startLookup(const PktPtr& pkt);
-    void finishLookup(const PktPtr& pkt);
-    void forward(const PktPtr& pkt);
-    void readDram(std::uint64_t npa_page, MemOp op,
-                  std::function<void()> done);
+    /** Continuation of one translation-cache DRAM access. */
+    using DramDone = InlineFunction<void(), 24>;
+
+    void startLookup(PktPtr pkt);
+    void finishLookup(PktPtr pkt);
+    void forward(PktPtr pkt);
+    void readDram(std::uint64_t npa_page, MemOp op, DramDone done);
 
     FamTranslatorParams params_;
     BankedMemory& dram_;
@@ -101,7 +103,7 @@ class FamTranslator : public Component, public MemSink
     SetAssocCache<std::uint64_t> cache_;
 
     /** Misses coalesced per NPA page, waiting for the STU's mapping. */
-    U64FlatMap<std::vector<PktPtr>> pending_;
+    U64FlatMap<PktWaiters> pending_;
 
     /** Outstanding mapping list occupancy + stall queue. */
     unsigned outstanding_ = 0;

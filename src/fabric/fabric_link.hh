@@ -88,9 +88,9 @@ class FabricLink : public Component, public Arbiter
     /**
      * Transmit one response-packet-worth of data toward compute node
      * @p dst_node (its parallel kernel partition; ignored on the
-     * serial path). Response continuations may wrap whole completion
-     * chains and are allowed to exceed the inline payload budget (one
-     * heap block, as std::function always paid).
+     * serial path). Datapath responses carry a packet handle or an
+     * STU continuation and fit the inline payload; a larger capture
+     * falls back to one heap block, as std::function always paid.
      */
     template <typename F>
     void

@@ -108,7 +108,7 @@ MemoryBroker::emitBrokerWrite(NodeId node, FamAddr block)
     pkt->hasFam = true;
     pkt->issued = sim_.curTick();
     pkt->onDone = [](Packet&) {};
-    media_->access(pkt);
+    media_->access(std::move(pkt));
 }
 
 std::optional<FamAddr>

@@ -54,7 +54,7 @@ FamMedia::FamMedia(Simulation& sim, const std::string& name,
 }
 
 void
-FamMedia::access(const PktPtr& pkt)
+FamMedia::access(PktPtr pkt)
 {
     FAMSIM_ASSERT(pkt->hasFam || pkt->kind != PacketKind::Data,
                   "data packet reached FAM without a FAM address");
@@ -96,20 +96,17 @@ FamMedia::access(const PktPtr& pkt)
         if (pkt->tsFabricReq != 0)
             trace->span(TraceSink::kPacket, lane, "fabric.req",
                         pkt->tsFabricReq, now);
-        // Service span: wrap the completion so the span closes when
-        // the module finishes. The completion runs on this module's
-        // partition, so the lane stays writer-exclusive.
-        auto orig = std::move(pkt->onDone);
-        pkt->onDone = [this, lane, now,
-                       orig = std::move(orig)](Packet& p) mutable {
+        // Service span: a completion hop closes it when the module
+        // finishes. The completion runs on this module's partition, so
+        // the lane stays writer-exclusive.
+        pkt->pushHop([this, lane, now](Packet& p) {
             sim_.trace()->span(TraceSink::kPacket, lane, "media.access",
                                now, sim_.curTick());
-            if (orig)
-                orig(p);
-        };
+            p.complete();
+        });
     }
 
-    modules_[module]->access(pkt, addr);
+    modules_[module]->access(std::move(pkt), addr);
 }
 
 } // namespace famsim

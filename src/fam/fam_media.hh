@@ -61,7 +61,7 @@ class FamMedia : public Component
      * arbitrated delivery, broker bookkeeping via barrier-op
      * scheduling, both of which route by moduleOf().
      */
-    void access(const PktPtr& pkt);
+    void access(PktPtr pkt);
 
     /** Module owning FAM address @p fam_addr (page interleaving). */
     [[nodiscard]] unsigned

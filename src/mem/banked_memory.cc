@@ -28,20 +28,20 @@ BankedMemory::BankedMemory(Simulation& sim, const std::string& name,
 }
 
 void
-BankedMemory::access(const PktPtr& pkt, std::uint64_t addr)
+BankedMemory::access(PktPtr pkt, std::uint64_t addr)
 {
     FAMSIM_ASSERT(pkt, "null packet");
     if (params_.maxOutstanding != 0 &&
         inFlight_ >= params_.maxOutstanding) {
         ++queued_;
-        waitQueue_.push_back(Waiting{pkt, addr});
+        waitQueue_.push_back(Waiting{std::move(pkt), addr});
         return;
     }
-    start(pkt, addr);
+    start(std::move(pkt), addr);
 }
 
 void
-BankedMemory::start(const PktPtr& pkt, std::uint64_t addr)
+BankedMemory::start(PktPtr pkt, std::uint64_t addr)
 {
     ++inFlight_;
     unsigned bank =
@@ -63,11 +63,13 @@ BankedMemory::start(const PktPtr& pkt, std::uint64_t addr)
     if (obsService_)
         obsService_->sample((done - now) / kNanosecond);
 
-    sim_.events().schedule(done, [this, pkt] { finish(pkt); });
+    sim_.events().schedule(done, [this, pkt = std::move(pkt)]() mutable {
+        finish(std::move(pkt));
+    });
 }
 
 void
-BankedMemory::finish(const PktPtr& pkt)
+BankedMemory::finish(PktPtr pkt)
 {
     FAMSIM_ASSERT(inFlight_ > 0, "finish with no in-flight access");
     --inFlight_;
@@ -76,7 +78,7 @@ BankedMemory::finish(const PktPtr& pkt)
          inFlight_ < params_.maxOutstanding)) {
         Waiting w = std::move(waitQueue_.front());
         waitQueue_.pop_front();
-        start(w.pkt, w.addr);
+        start(std::move(w.pkt), w.addr);
     }
     pkt->complete();
 }

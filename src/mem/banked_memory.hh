@@ -55,7 +55,7 @@ class BankedMemory : public Component
      * Start an access for @p pkt, whose bank is derived from @p addr.
      * The packet's completion callback fires when the access finishes.
      */
-    void access(const PktPtr& pkt, std::uint64_t addr);
+    void access(PktPtr pkt, std::uint64_t addr);
 
     /** Number of requests currently inside the device (incl. queued). */
     [[nodiscard]] unsigned inFlight() const { return inFlight_; }
@@ -71,8 +71,8 @@ class BankedMemory : public Component
         std::uint64_t addr;
     };
 
-    void start(const PktPtr& pkt, std::uint64_t addr);
-    void finish(const PktPtr& pkt);
+    void start(PktPtr pkt, std::uint64_t addr);
+    void finish(PktPtr pkt);
 
     BankedMemoryParams params_;
     std::vector<Tick> bankFree_;

@@ -22,10 +22,11 @@ class MemSink
 
     /**
      * Accept @p pkt for service. The packet's node-physical address
-     * must be valid. Ownership is shared; the sink must eventually
-     * cause pkt->complete() to run exactly once.
+     * must be valid. The caller hands its handle over (move it in);
+     * the sink moves it along and must eventually cause
+     * pkt->complete() to run exactly once.
      */
-    virtual void access(const PktPtr& pkt) = 0;
+    virtual void access(PktPtr pkt) = 0;
 };
 
 } // namespace famsim

@@ -111,6 +111,7 @@ makePacket(NodeId node, CoreId core, MemOp op, PacketKind kind)
         pkt->issued = 0;
         pkt->tsStu = 0;
         pkt->tsFabricReq = 0;
+        pkt->hopCount_ = 0;
     }
     pkt->id = next_id++;
     pkt->node = node;
@@ -119,7 +120,7 @@ makePacket(NodeId node, CoreId core, MemOp op, PacketKind kind)
     pkt->job = 0;
     pkt->op = op;
     pkt->kind = kind;
-    return PktPtr(pkt);
+    return PktPtr(pkt, PktPtr::Fresh{});
 }
 
 } // namespace famsim

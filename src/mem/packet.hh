@@ -14,10 +14,14 @@
 #define FAMSIM_MEM_PACKET_HH
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <new>
+#include <type_traits>
+#include <vector>
 
 #include "sim/inline_function.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace famsim {
@@ -71,6 +75,31 @@ struct Packet {
     MemOp op = MemOp::Read;
     PacketKind kind = PacketKind::Data;
 
+  private:
+    friend class PktPtr;
+    friend PktPtr makePacket(NodeId, CoreId, MemOp, PacketKind);
+
+    // Declared here, in the padding after kind, so the count and the
+    // hop depth share the header's cache line, which every hop reads.
+
+    /** Hops pushed and not yet popped. */
+    std::uint8_t hopCount_ = 0;
+
+    /**
+     * Intrusive reference count, relaxed-atomic. Handles move hop to
+     * hop (DESIGN.md "Packet handoff"), so after creation the count
+     * rises only for a response hop's self-reference. That
+     * self-reference is taken on the media partition, which still
+     * holds the handle the module finished with, and dies on the node
+     * partition after the fabric response: two worker threads release
+     * the same packet, so the count stays atomic. Increments are
+     * relaxed (an increment always happens on a thread that already
+     * owns a reference); the decrement that hits zero acquires, so
+     * the recycling thread observes all prior releases.
+     */
+    std::atomic<std::uint32_t> refs_{0};
+
+  public:
     /** Virtual address (valid for core-issued requests). */
     VAddr vaddr{};
     /** Node physical address (valid after node-level translation). */
@@ -112,13 +141,14 @@ struct Packet {
     Tick tsFabricReq = 0;
 
     /**
-     * Completion callback, invoked exactly once when the access ends.
-     * Inline storage holds the pipeline's plain captures (component
-     * pointers, PktPtrs, the walker's step-list continuation) without
-     * allocating; response-path wraps that capture the previous
-     * callback take one heap block per wrap (see inline_function.hh).
+     * Base completion callback, run exactly once when the access ends,
+     * after every hop above it. The issuer's continuation (a core, a
+     * cache fill, a walker step) lives here inline.
      */
     InlineFunction<void(Packet&)> onDone;
+
+    /** Deepest completion chain a packet can carry above onDone. */
+    static constexpr unsigned kMaxHops = 4;
 
     /** @return true if this packet is AT traffic. */
     [[nodiscard]] bool isTranslation() const
@@ -128,10 +158,50 @@ struct Packet {
 
     [[nodiscard]] bool isWrite() const { return op == MemOp::Write; }
 
-    /** Invoke and clear the completion callback. */
+    /**
+     * Stack a completion hop above onDone and every hop pushed before
+     * it. A component on the way out (FAM translator, STU, E-FAM path,
+     * media trace span) pushes itself instead of wrapping onDone, so a
+     * chain costs no heap block. @p hop runs on complete() and carries
+     * the chain on by calling p.complete() — at once, or from a later
+     * event that holds its own handle to the packet. The capture must
+     * be plain values that fit one 24-byte hop slot; a handle inside
+     * it would keep the packet alive from its own stack.
+     */
+    template <typename F>
+    void
+    pushHop(F hop)
+    {
+        static_assert(std::is_trivially_copyable_v<F> &&
+                          std::is_trivially_destructible_v<F>,
+                      "a hop captures plain values only");
+        static_assert(sizeof(F) <= Hop::kCaptureBytes &&
+                          alignof(F) <= alignof(Hop),
+                      "hop capture exceeds its slot");
+        static_assert(std::is_invocable_r_v<void, const F&, Packet&>,
+                      "a hop is invocable as void(Packet&)");
+        if (hopCount_ == kMaxHops)
+            FAMSIM_PANIC("completion chain deeper than ", kMaxHops,
+                         " hops on packet ", id);
+        Hop& slot = hops_[hopCount_++];
+        ::new (static_cast<void*>(slot.capture)) F(hop);
+        slot.run = [](const Hop& self, Packet& p) {
+            (*std::launder(reinterpret_cast<const F*>(self.capture)))(p);
+        };
+    }
+
+    /**
+     * Continue the completion chain: pop and run the top hop, or, with
+     * none left, invoke and clear onDone.
+     */
     void
     complete()
     {
+        if (hopCount_ != 0) {
+            const Hop hop = hops_[--hopCount_];
+            hop.run(hop, *this);
+            return;
+        }
         if (onDone) {
             auto cb = std::move(onDone);
             onDone = nullptr;
@@ -140,20 +210,15 @@ struct Packet {
     }
 
   private:
-    friend class PktPtr;
-    /**
-     * Intrusive reference count. Relaxed-atomic since the parallel
-     * kernel (src/psim/): a packet is logically owned by one partition
-     * at a time, but dormant handles (MSHR waiters, wrapped
-     * continuations riding inside another packet) can be released on a
-     * different worker thread than the one currently driving the
-     * packet. Increments are relaxed (an increment always happens on a
-     * thread that already owns a reference); the decrement that hits
-     * zero acquires, so the recycling thread observes all prior
-     * releases. Uncontended lock-prefixed ops cost a few cycles each —
-     * measured in the noise of the fig12 e2e gate row.
-     */
-    std::atomic<std::uint32_t> refs_{0};
+    /** One stacked completion hop: a thunk plus its plain capture. */
+    struct Hop {
+        static constexpr std::size_t kCaptureBytes = 24;
+        void (*run)(const Hop&, Packet&) = nullptr;
+        alignas(std::uint64_t) unsigned char capture[kCaptureBytes];
+    };
+    static_assert(sizeof(Hop) == 32, "a hop entry is 32 bytes");
+
+    Hop hops_[kMaxHops];
 };
 
 namespace detail {
@@ -162,10 +227,11 @@ void recyclePacket(Packet* pkt) noexcept;
 } // namespace detail
 
 /**
- * Intrusive refcounted handle to a pooled Packet. Drop-in for the old
- * shared_ptr<Packet> at every call site (copy/move/deref/bool); when
- * the last handle dies the packet returns to the pool in packet.cc
- * rather than to the heap.
+ * Intrusive refcounted handle to a pooled Packet; when the last handle
+ * dies the packet returns to the pool in packet.cc rather than to the
+ * heap. The datapath passes handles by value and moves them hop to
+ * hop, so a hand-off costs no atomic; copy one only for a real second
+ * owner.
  */
 class PktPtr
 {
@@ -173,7 +239,12 @@ class PktPtr
     PktPtr() = default;
     PktPtr(std::nullptr_t) {}
 
-    /** Adopt a pool-fresh packet (refcount must be zero). */
+    /**
+     * Take a new reference to @p pkt, which another handle keeps
+     * alive: a running hop was handed the packet by reference and
+     * must keep it past its return (the response path's
+     * self-reference).
+     */
     explicit PktPtr(Packet* pkt) : pkt_(pkt)
     {
         if (pkt_)
@@ -246,6 +317,15 @@ class PktPtr
     }
 
   private:
+    friend PktPtr makePacket(NodeId, CoreId, MemOp, PacketKind);
+
+    struct Fresh {};
+    /** Adopt a pool-fresh packet: no other handle exists, so store. */
+    PktPtr(Packet* pkt, Fresh) : pkt_(pkt)
+    {
+        pkt_->refs_.store(1, std::memory_order_relaxed);
+    }
+
     void
     release()
     {
@@ -256,6 +336,43 @@ class PktPtr
     }
 
     Packet* pkt_ = nullptr;
+};
+
+/**
+ * Packets waiting on one outstanding miss (an MSHR's waiter list), in
+ * arrival order. The first waiter is held inline, so a miss nobody
+ * merges into costs no heap block; only merged waiters spill into the
+ * vector.
+ */
+class PktWaiters
+{
+  public:
+    void
+    push_back(PktPtr pkt)
+    {
+        if (!first_)
+            first_ = std::move(pkt);
+        else
+            rest_.push_back(std::move(pkt));
+    }
+
+    [[nodiscard]] bool empty() const { return !first_; }
+    [[nodiscard]] const PktPtr& front() const { return first_; }
+
+    /** Call @p fn on each waiter's handle, in arrival order. */
+    template <typename F>
+    void
+    forEach(F&& fn)
+    {
+        if (first_)
+            fn(first_);
+        for (PktPtr& pkt : rest_)
+            fn(pkt);
+    }
+
+  private:
+    PktPtr first_;
+    std::vector<PktPtr> rest_;
 };
 
 /** Create a packet with a fresh id. */

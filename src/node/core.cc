@@ -228,7 +228,9 @@ Core::issueMemOp(const MemOpDesc& op, NPAddr npa)
     };
     ++outstanding_;
     Tick when = std::max(localTime_, sim_.curTick());
-    sim_.events().schedule(when, [this, pkt] { l1_.access(pkt); });
+    sim_.events().schedule(when, [this, pkt = std::move(pkt)]() mutable {
+        l1_.access(std::move(pkt));
+    });
 }
 
 void

@@ -19,23 +19,24 @@ MemController::MemController(Simulation& sim, const std::string& name,
 }
 
 void
-MemController::access(const PktPtr& pkt)
+MemController::access(PktPtr pkt)
 {
     if (NodeOs::isFamDirect(pkt->npa)) {
         // E-FAM: the node page table holds real FAM addresses.
         pkt->fam = NodeOs::famDirectAddr(pkt->npa);
         pkt->hasFam = true;
         ++famAccesses_;
-        famPath_.access(pkt);
+        famPath_.access(std::move(pkt));
         return;
     }
     if (os_.isLocal(pkt->npa)) {
         ++localAccesses_;
-        dram_.access(pkt, pkt->npa.value());
+        std::uint64_t addr = pkt->npa.value();
+        dram_.access(std::move(pkt), addr);
         return;
     }
     ++famAccesses_;
-    famPath_.access(pkt);
+    famPath_.access(std::move(pkt));
 }
 
 } // namespace famsim

@@ -28,7 +28,7 @@ class MemController : public Component, public MemSink
     MemController(Simulation& sim, const std::string& name, NodeOs& os,
                   BankedMemory& dram, MemSink& fam_path);
 
-    void access(const PktPtr& pkt) override;
+    void access(PktPtr pkt) override;
 
   private:
     NodeOs& os_;

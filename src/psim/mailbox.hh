@@ -14,7 +14,7 @@
  * 16-byte inline buffer heap-allocated once per fabric crossing for
  * every delivery capture bigger than a pointer. The kMailboxInlineBytes
  * budget keeps the common continuations (a component pointer plus a
- * PktPtr, or a wrapped done-functor) in place; oversized chains fall
+ * PktPtr, or an STU done-functor) in place; oversized captures fall
  * back to one heap block, exactly as std::function always did.
  * makeDelivery() keeps the continuation's concrete type, so the flush
  * schedules it straight into the event queue's pooled slots instead

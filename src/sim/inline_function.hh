@@ -6,15 +6,16 @@
  * every completion callback in the simulator heap-allocated on
  * assignment. InlineFunction stores callables up to @p N bytes in
  * place and falls back to the heap beyond that. N defaults to 144 so
- * the pipeline's plain captures fit inline — component pointers,
+ * a packet's base completion fits inline — component pointers,
  * PktPtrs, and notably the page-walker continuation (a StepList plus
- * a wrapped done-functor, ~136 bytes). A lambda that captures a whole
- * InlineFunction<N> by value (the STU/translator response-path wraps)
- * is by construction larger than N and always takes the heap path —
- * one block per wrap level, at packet-creation rate, not per hop:
- * those sites move the wrapped continuation along instead of copying
- * it. Copyable (required by Packet) and movable; dispatch is one
- * static ops table per callable type, like a vtable.
+ * its done-functor, ~128 bytes); datapath continuations that travel
+ * through the event queue pick an N sized to their captures. A lambda
+ * that captures a whole InlineFunction<N> by value is by construction
+ * larger than N and always takes the heap path, one block per nesting
+ * level, which is why completion chains stack as Packet hops
+ * (mem/packet.hh) instead of nesting. Copyable (required by Packet)
+ * and movable; dispatch is one static ops table per callable type,
+ * like a vtable.
  */
 
 #ifndef FAMSIM_SIM_INLINE_FUNCTION_HH

@@ -77,15 +77,17 @@ Stu::Stu(Simulation& sim, const std::string& name, const StuParams& params,
 }
 
 void
-Stu::handleFromNode(const PktPtr& pkt)
+Stu::handleFromNode(PktPtr pkt)
 {
     FAMSIM_ASSERT(pkt, "null packet at STU");
     sim_.events().scheduleAfter(params_.nodeLinkLatency,
-                                [this, pkt] { receive(pkt); });
+                                [this, pkt = std::move(pkt)]() mutable {
+                                    receive(std::move(pkt));
+                                });
 }
 
 void
-Stu::receive(const PktPtr& pkt)
+Stu::receive(PktPtr pkt)
 {
     // Stage stamp: arrival at the STU (unconditional store — see
     // Packet). The queue-wait histogram covers core issue -> here.
@@ -93,11 +95,11 @@ Stu::receive(const PktPtr& pkt)
     if (obsQueueWait_)
         obsQueueWait_->sample((pkt->tsStu - pkt->issued) / kNanosecond);
     if (params_.org == StuOrg::IFam) {
-        handleIFam(pkt);
+        handleIFam(std::move(pkt));
     } else if (pkt->verified) {
-        handleDeactVerified(pkt);
+        handleDeactVerified(std::move(pkt));
     } else {
-        handleDeactUnverified(pkt);
+        handleDeactUnverified(std::move(pkt));
     }
 }
 
@@ -106,9 +108,10 @@ Stu::receive(const PktPtr& pkt)
 // ---------------------------------------------------------------------
 
 void
-Stu::handleIFam(const PktPtr& pkt)
+Stu::handleIFam(PktPtr pkt)
 {
-    sim_.events().scheduleAfter(params_.lookupLatency, [this, pkt] {
+    sim_.events().scheduleAfter(params_.lookupLatency,
+                                [this, pkt = std::move(pkt)]() mutable {
         std::uint64_t npa_page = pkt->npa.pageNumber();
         ++tlbLookups_;
         ++acmLookups_; // ACM rides in the same entry (Fig. 8a)
@@ -122,33 +125,30 @@ Stu::handleIFam(const PktPtr& pkt)
             pkt->fam = FamAddr(entry->famPage * kPageSize +
                                pkt->npa.pageOffset());
             pkt->hasFam = true;
-            verifyAndForward(pkt);
+            verifyAndForward(std::move(pkt));
             return;
         }
         // Merge concurrent walks to the same page.
         auto [it, first] = walkMshrs_.try_emplace(npa_page);
-        it->second.push_back(pkt);
+        it->second.waiters.push_back(std::move(pkt));
         if (!first)
             return;
-        startWalk(pkt, [this, pkt, npa_page](std::uint64_t fam_page) {
+        startWalk(npa_page, [this, npa_page](std::uint64_t fam_page) {
             // The walked PTE supplies the translation; the 16-bit ACM
             // is fetched from the metadata region and cached in the
             // same entry (Fig. 8a: way = tag + famp + ac).
             ++acmFetches_;
-            sendFamAccess(pkt, layout_.acmBlockForPage(fam_page),
-                          MemOp::Read, PacketKind::Acm,
-                          [this, npa_page, fam_page] {
+            sendFamAccess(*walkOf(npa_page).waiters.front(),
+                          layout_.acmBlockForPage(fam_page), MemOp::Read,
+                          PacketKind::Acm, [this, npa_page, fam_page] {
                 ifamCache_->insert(npa_page, IFamEntry{fam_page});
-                auto mit = walkMshrs_.find(npa_page);
-                FAMSIM_ASSERT(mit != walkMshrs_.end(), "lost walk MSHR");
-                std::vector<PktPtr> waiters = std::move(mit->second);
-                walkMshrs_.erase(mit);
-                for (auto& w : waiters) {
-                    w->fam = FamAddr(fam_page * kPageSize +
-                                     w->npa.pageOffset());
-                    w->hasFam = true;
-                    verifyAndForward(w);
-                }
+                takeWalkWaiters(npa_page).forEach(
+                    [this, fam_page](PktPtr& w) {
+                        w->fam = FamAddr(fam_page * kPageSize +
+                                         w->npa.pageOffset());
+                        w->hasFam = true;
+                        verifyAndForward(std::move(w));
+                    });
             });
         });
     });
@@ -159,45 +159,44 @@ Stu::handleIFam(const PktPtr& pkt)
 // ---------------------------------------------------------------------
 
 void
-Stu::handleDeactVerified(const PktPtr& pkt)
+Stu::handleDeactVerified(PktPtr pkt)
 {
     FAMSIM_ASSERT(pkt->hasFam,
                   "verified packet without FAM address at STU");
     sim_.events().scheduleAfter(params_.lookupLatency,
-                                [this, pkt] { checkAccess(pkt); });
+                                [this, pkt = std::move(pkt)]() mutable {
+                                    checkAccess(std::move(pkt));
+                                });
 }
 
 void
-Stu::handleDeactUnverified(const PktPtr& pkt)
+Stu::handleDeactUnverified(PktPtr pkt)
 {
-    sim_.events().scheduleAfter(params_.lookupLatency, [this, pkt] {
+    sim_.events().scheduleAfter(params_.lookupLatency,
+                                [this, pkt = std::move(pkt)]() mutable {
         std::uint64_t npa_page = pkt->npa.pageNumber();
         auto [it, first] = walkMshrs_.try_emplace(npa_page);
-        it->second.push_back(pkt);
+        it->second.waiters.push_back(std::move(pkt));
         if (!first)
             return;
-        startWalk(pkt, [this, npa_page](std::uint64_t fam_page) {
+        startWalk(npa_page, [this, npa_page](std::uint64_t fam_page) {
             // Return the mapping to the node's FAM translator so it can
             // update the in-DRAM translation cache (step 5, Fig. 6).
             if (mappingListener_)
                 mappingListener_(npa_page, fam_page);
-            auto mit = walkMshrs_.find(npa_page);
-            FAMSIM_ASSERT(mit != walkMshrs_.end(), "lost walk MSHR");
-            std::vector<PktPtr> waiters = std::move(mit->second);
-            walkMshrs_.erase(mit);
-            for (auto& w : waiters) {
+            takeWalkWaiters(npa_page).forEach([this, fam_page](PktPtr& w) {
                 w->fam = FamAddr(fam_page * kPageSize +
                                  w->npa.pageOffset());
                 w->hasFam = true;
                 w->verified = true;
-                checkAccess(w);
-            }
+                checkAccess(std::move(w));
+            });
         });
     });
 }
 
 void
-Stu::checkAccess(const PktPtr& pkt)
+Stu::checkAccess(PktPtr pkt)
 {
     std::uint64_t fam_page = pkt->fam.pageNumber();
     ++acmLookups_;
@@ -207,15 +206,18 @@ Stu::checkAccess(const PktPtr& pkt)
         ++acmHits_;
         if (jobAcmHits_)
             jobAcmHits_->add(pkt->job);
-        verifyAndForward(pkt);
+        verifyAndForward(std::move(pkt));
         return;
     }
-    // Fetch the 64 B ACM block covering this page from FAM.
+    // Fetch the 64 B ACM block covering this page from FAM. Bind the
+    // origin before the continuation below takes the handle.
     ++acmFetches_;
-    sendFamAccess(pkt, layout_.acmBlockForPage(fam_page), MemOp::Read,
-                  PacketKind::Acm, [this, pkt, fam_page] {
+    const Packet& origin = *pkt;
+    sendFamAccess(origin, layout_.acmBlockForPage(fam_page), MemOp::Read,
+                  PacketKind::Acm,
+                  [this, pkt = std::move(pkt), fam_page]() mutable {
                       acmInstall(fam_page);
-                      verifyAndForward(pkt);
+                      verifyAndForward(std::move(pkt));
                   });
 }
 
@@ -256,12 +258,21 @@ Stu::acmInstall(std::uint64_t fam_page)
 // FAM page-table walk (performed by the STU in all organizations).
 // ---------------------------------------------------------------------
 
+Stu::Walk&
+Stu::walkOf(std::uint64_t npa_page)
+{
+    auto it = walkMshrs_.find(npa_page);
+    FAMSIM_ASSERT(it != walkMshrs_.end(), "lost walk MSHR");
+    return it->second;
+}
+
 void
-Stu::startWalk(const PktPtr& pkt, WalkDone done)
+Stu::startWalk(std::uint64_t npa_page, WalkDone done)
 {
     ++walks_;
-    std::uint64_t npa_page = pkt->npa.pageNumber();
-    auto result = broker_.famTableOf(pkt->node).walk(npa_page);
+    Walk& walk = walkOf(npa_page);
+    auto result =
+        broker_.famTableOf(walk.waiters.front()->node).walk(npa_page);
     int deepest = famPtwCache_.deepestCachedLevel(npa_page);
     std::size_t start = static_cast<std::size_t>(deepest + 1);
     if (start >= result.steps.size()) {
@@ -269,42 +280,40 @@ Stu::startWalk(const PktPtr& pkt, WalkDone done)
         // itself was reachable, the walk still reads the PTE.
         start = result.steps.empty() ? 0 : result.steps.size() - 1;
     }
-    walkStep(pkt, npa_page, std::move(result.steps), start,
-             std::move(done));
+    walk.steps = result.steps;
+    walk.done = std::move(done);
+    walkStep(npa_page, start);
 }
 
 void
-Stu::walkStep(const PktPtr& pkt, std::uint64_t npa_page,
-              HierarchicalPageTable::StepList steps,
-              std::size_t index, WalkDone done)
+Stu::walkStep(std::uint64_t npa_page, std::size_t index)
 {
-    if (index >= steps.size()) {
+    Walk& walk = walkOf(npa_page);
+    if (index >= walk.steps.size()) {
         // Record traversed upper levels in the PTW cache.
-        for (const auto& step : steps) {
+        for (const auto& step : walk.steps) {
             if (step.level < HierarchicalPageTable::kLevels - 1)
                 famPtwCache_.insert(npa_page, step.level);
         }
-        auto leaf = broker_.famTableOf(pkt->node).lookup(npa_page);
-        finishWalk(pkt, npa_page, leaf, std::move(done));
+        auto leaf = broker_.famTableOf(walk.waiters.front()->node)
+                        .lookup(npa_page);
+        finishWalk(npa_page, leaf);
         return;
     }
     ++walkSteps_;
-    FamAddr addr = FamAddr(steps[index].addr).blockAddr();
-    sendFamAccess(pkt, addr, MemOp::Read, PacketKind::FamPtw,
-                  [this, pkt, npa_page, steps = std::move(steps), index,
-                   done = std::move(done)]() mutable {
-                      walkStep(pkt, npa_page, std::move(steps), index + 1,
-                               std::move(done));
+    FamAddr addr = FamAddr(walk.steps[index].addr).blockAddr();
+    sendFamAccess(*walk.waiters.front(), addr, MemOp::Read,
+                  PacketKind::FamPtw, [this, npa_page, index] {
+                      walkStep(npa_page, index + 1);
                   });
 }
 
 void
-Stu::finishWalk(const PktPtr& pkt, std::uint64_t npa_page,
-                std::optional<HierarchicalPageTable::Leaf> leaf,
-                WalkDone done)
+Stu::finishWalk(std::uint64_t npa_page,
+                std::optional<HierarchicalPageTable::Leaf> leaf)
 {
     if (leaf) {
-        done(leaf->valuePage);
+        walked(npa_page, leaf->valuePage);
         return;
     }
     // Unmapped at system level: ask the broker for a page.
@@ -314,11 +323,29 @@ Stu::finishWalk(const PktPtr& pkt, std::uint64_t npa_page,
         trace->instant(TraceSink::kPacket, node_, "stu.broker_fault",
                        sim_.curTick());
     }
-    broker_.handleUnmapped(pkt->node, npa_page,
-                           [done = std::move(done)](std::uint64_t fam) {
-                               done(fam);
+    const Packet& origin = *walkOf(npa_page).waiters.front();
+    broker_.handleUnmapped(origin.node, npa_page,
+                           [this, npa_page](std::uint64_t fam) {
+                               walked(npa_page, fam);
                            },
-                           pkt->job);
+                           origin.job);
+}
+
+void
+Stu::walked(std::uint64_t npa_page, std::uint64_t fam_page)
+{
+    WalkDone done = std::move(walkOf(npa_page).done);
+    done(fam_page);
+}
+
+PktWaiters
+Stu::takeWalkWaiters(std::uint64_t npa_page)
+{
+    auto it = walkMshrs_.find(npa_page);
+    FAMSIM_ASSERT(it != walkMshrs_.end(), "lost walk MSHR");
+    PktWaiters waiters = std::move(it->second.waiters);
+    walkMshrs_.erase(it);
+    return waiters;
 }
 
 // ---------------------------------------------------------------------
@@ -326,62 +353,64 @@ Stu::finishWalk(const PktPtr& pkt, std::uint64_t npa_page,
 // ---------------------------------------------------------------------
 
 void
-Stu::verifyAndForward(const PktPtr& pkt)
+Stu::verifyAndForward(PktPtr pkt)
 {
-    sim_.events().scheduleAfter(params_.verifyLatency, [this, pkt] {
+    sim_.events().scheduleAfter(params_.verifyLatency,
+                                [this, pkt = std::move(pkt)]() mutable {
         ++verifications_;
         std::uint64_t fam_page = pkt->fam.pageNumber();
         AcmEntry entry = acm_.get(fam_page);
         if (entry.owner == acm_.sharedMarker()) {
-            checkBitmap(pkt, entry);
+            checkBitmap(std::move(pkt));
             return;
         }
         bool allowed =
             entry.owner == pkt->logicalNode &&
             Perms::decode2b(entry.permBits).allows(pkt->isWrite());
-        finishVerify(pkt, allowed);
+        finishVerify(std::move(pkt), allowed);
     });
 }
 
 void
-Stu::checkBitmap(const PktPtr& pkt, const AcmEntry&)
+Stu::checkBitmap(PktPtr pkt)
 {
     std::uint64_t fam_page = pkt->fam.pageNumber();
     std::uint64_t region = FamLayout::regionOf(fam_page);
     // One 64 B bitmap block covers 512 node bits.
     std::uint64_t key = region * 128 + pkt->logicalNode / 512;
 
-    auto check = [this, pkt, region] {
+    auto check = [this, region](PktPtr p) {
         bool allowed =
-            acm_.regionAllows(region, pkt->logicalNode) &&
-            acm_.regionPerms(region, pkt->logicalNode)
-                .allows(pkt->isWrite());
-        finishVerify(pkt, allowed);
+            acm_.regionAllows(region, p->logicalNode) &&
+            acm_.regionPerms(region, p->logicalNode)
+                .allows(p->isWrite());
+        finishVerify(std::move(p), allowed);
     };
 
     if (bitmapCache_.lookup(key)) {
-        check();
+        check(std::move(pkt));
         return;
     }
     ++bitmapFetches_;
-    sendFamAccess(pkt, layout_.bitmapAddrFor(region, pkt->logicalNode)
-                          .blockAddr(),
-                  MemOp::Read, PacketKind::Bitmap,
-                  [this, key, check = std::move(check)] {
+    FamAddr addr =
+        layout_.bitmapAddrFor(region, pkt->logicalNode).blockAddr();
+    const Packet& origin = *pkt; // before the continuation takes pkt
+    sendFamAccess(origin, addr, MemOp::Read, PacketKind::Bitmap,
+                  [this, key, check, pkt = std::move(pkt)]() mutable {
                       bitmapCache_.insert(key, 1);
-                      check();
+                      check(std::move(pkt));
                   });
 }
 
 void
-Stu::finishVerify(const PktPtr& pkt, bool allowed)
+Stu::finishVerify(PktPtr pkt, bool allowed)
 {
     if (!allowed) {
-        deny(pkt);
+        deny(std::move(pkt));
         return;
     }
     pkt->accessGranted = true;
-    forwardToFam(pkt);
+    forwardToFam(std::move(pkt));
 }
 
 // ---------------------------------------------------------------------
@@ -389,7 +418,7 @@ Stu::finishVerify(const PktPtr& pkt, bool allowed)
 // ---------------------------------------------------------------------
 
 void
-Stu::forwardToFam(const PktPtr& pkt)
+Stu::forwardToFam(PktPtr pkt)
 {
     FAMSIM_ASSERT(pkt->accessGranted,
                   "unverified packet about to reach FAM usable space");
@@ -397,7 +426,7 @@ Stu::forwardToFam(const PktPtr& pkt)
         params_.maxOutstanding != 0 &&
         outstanding_ >= params_.maxOutstanding) {
         // Outstanding-mapping list full (I-FAM keeps it at the STU).
-        stallQueue_.push_back(pkt);
+        stallQueue_.push_back(std::move(pkt));
         return;
     }
     ++forwarded_;
@@ -417,75 +446,74 @@ Stu::forwardToFam(const PktPtr& pkt)
     if (tracked)
         ++outstanding_;
 
-    auto orig = std::move(pkt->onDone);
-    pkt->onDone = nullptr;
-    // The wrapper holds the PktPtr so the packet stays alive through
-    // the response's trip back over the fabric. The self-reference is
-    // broken when Packet::complete() moves the callback out.
-    // Each hop moves the wrapped continuation along (the callback runs
-    // exactly once) — copying it would deep-copy the whole capture
-    // chain at every fabric traversal.
-    pkt->onDone = [this, pkt, orig = std::move(orig),
-                   tracked](Packet&) mutable {
-        fabric_.sendResponse(node_,
-                             [this, pkt, orig = std::move(orig),
-                              tracked]() mutable {
+    // The media's completion pops this hop, which carries the response
+    // back over the fabric and the node link. The module drops its
+    // handle once the hop returns, so the response takes its own: the
+    // self-reference that keeps the packet alive in flight.
+    pkt->pushHop([this, tracked](Packet& p) {
+        fabric_.sendResponse(node_, [this, pkt = PktPtr(&p),
+                                     tracked]() mutable {
             sim_.events().scheduleAfter(
                 params_.nodeLinkLatency,
-                [this, pkt, orig = std::move(orig), tracked] {
+                [this, pkt = std::move(pkt), tracked] {
                     if (tracked) {
                         FAMSIM_ASSERT(outstanding_ > 0,
                                       "outstanding underflow");
                         --outstanding_;
                         if (!stallQueue_.empty()) {
-                            PktPtr next = stallQueue_.front();
-                            stallQueue_.erase(stallQueue_.begin());
-                            forwardToFam(next);
+                            PktPtr next = std::move(stallQueue_.front());
+                            stallQueue_.pop_front();
+                            forwardToFam(std::move(next));
                         }
                     }
-                    if (orig)
-                        orig(*pkt);
+                    pkt->complete();
                 });
         });
-    };
-    fabric_.sendRequest(media_.moduleOf(pkt->fam.value()),
-                        [this, pkt] { media_.access(pkt); });
+    });
+    sendToMedia(std::move(pkt));
 }
 
 void
-Stu::sendFamAccess(const PktPtr& origin, FamAddr addr, MemOp op,
-                   PacketKind kind, std::function<void()> done)
+Stu::sendFamAccess(const Packet& origin, FamAddr addr, MemOp op,
+                   PacketKind kind, FamDone done)
 {
-    PktPtr pkt = makePacket(origin->node, origin->core, op, kind);
-    pkt->logicalNode = origin->logicalNode;
-    pkt->job = origin->job;
+    PktPtr pkt = makePacket(origin.node, origin.core, op, kind);
+    pkt->logicalNode = origin.logicalNode;
+    pkt->job = origin.job;
     pkt->fam = addr;
     pkt->hasFam = true;
     pkt->issued = sim_.curTick();
     pkt->tsFabricReq = pkt->issued;
     pkt->onDone = [this, done = std::move(done)](Packet&) mutable {
-        fabric_.sendResponse(node_,
-                             [done = std::move(done)] { done(); });
+        fabric_.sendResponse(node_, std::move(done));
     };
-    fabric_.sendRequest(media_.moduleOf(pkt->fam.value()),
-                        [this, pkt] { media_.access(pkt); });
+    sendToMedia(std::move(pkt));
 }
 
 void
-Stu::deny(const PktPtr& pkt)
+Stu::sendToMedia(PktPtr pkt)
+{
+    unsigned module = media_.moduleOf(pkt->fam.value());
+    fabric_.sendRequest(module, [this, pkt = std::move(pkt)]() mutable {
+        media_.access(std::move(pkt));
+    });
+}
+
+void
+Stu::deny(PktPtr pkt)
 {
     ++denials_;
     if (jobDenials_)
         jobDenials_->add(pkt->job);
     pkt->accessGranted = false;
-    respondToNode(pkt);
+    respondToNode(std::move(pkt));
 }
 
 void
-Stu::respondToNode(const PktPtr& pkt)
+Stu::respondToNode(PktPtr pkt)
 {
     sim_.events().scheduleAfter(params_.nodeLinkLatency,
-                                [pkt] { pkt->complete(); });
+                                [pkt = std::move(pkt)] { pkt->complete(); });
 }
 
 void

@@ -26,14 +26,15 @@
 #define FAMSIM_STU_STU_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "cache/set_assoc.hh"
 #include "sim/flat_map.hh"
+#include "sim/inline_function.hh"
 #include "fabric/fabric_link.hh"
 #include "fam/acm.hh"
 #include "fam/broker.hh"
@@ -116,7 +117,7 @@ class Stu : public Component
      * applied internally. In I-FAM mode packets carry only an NPA; in
      * DeACT mode verified packets carry a FAM address.
      */
-    void handleFromNode(const PktPtr& pkt);
+    void handleFromNode(PktPtr pkt);
 
     /** Register the DeACT mapping-response listener. */
     void setMappingListener(MappingFn fn) { mappingListener_ = std::move(fn); }
@@ -141,38 +142,55 @@ class Stu : public Component
     };
 
     // -- entry points after the node link ------------------------------
-    void receive(const PktPtr& pkt);
-    void handleIFam(const PktPtr& pkt);
-    void handleDeactVerified(const PktPtr& pkt);
-    void handleDeactUnverified(const PktPtr& pkt);
+    void receive(PktPtr pkt);
+    void handleIFam(PktPtr pkt);
+    void handleDeactVerified(PktPtr pkt);
+    void handleDeactUnverified(PktPtr pkt);
 
     // -- FAM page-table walking ----------------------------------------
-    using WalkDone = std::function<void(std::uint64_t fam_page)>;
-    void startWalk(const PktPtr& pkt, WalkDone done);
-    void walkStep(const PktPtr& pkt, std::uint64_t npa_page,
-                  HierarchicalPageTable::StepList steps,
-                  std::size_t index, WalkDone done);
-    void finishWalk(const PktPtr& pkt, std::uint64_t npa_page,
-                    std::optional<HierarchicalPageTable::Leaf> leaf,
-                    WalkDone done);
+    /** Receives the walked FAM page. */
+    using WalkDone = InlineFunction<void(std::uint64_t fam_page), 16>;
+
+    /**
+     * One FAM page-table walk in flight. Its requests wait here; the
+     * first one started the walk and is the origin of its FAM reads.
+     */
+    struct Walk {
+        PktWaiters waiters;
+        HierarchicalPageTable::StepList steps;
+        WalkDone done;
+    };
+
+    Walk& walkOf(std::uint64_t npa_page);
+    void startWalk(std::uint64_t npa_page, WalkDone done);
+    void walkStep(std::uint64_t npa_page, std::size_t index);
+    void finishWalk(std::uint64_t npa_page,
+                    std::optional<HierarchicalPageTable::Leaf> leaf);
+    void walked(std::uint64_t npa_page, std::uint64_t fam_page);
+    /** Retire the walk of @p npa_page; @return its waiting requests. */
+    PktWaiters takeWalkWaiters(std::uint64_t npa_page);
 
     // -- access control --------------------------------------------------
     /** Check the ACM (cached or fetched) and then grant/deny + forward. */
-    void checkAccess(const PktPtr& pkt);
-    void verifyAndForward(const PktPtr& pkt);
-    void checkBitmap(const PktPtr& pkt, const AcmEntry& entry);
-    void finishVerify(const PktPtr& pkt, bool allowed);
+    void checkAccess(PktPtr pkt);
+    void verifyAndForward(PktPtr pkt);
+    void checkBitmap(PktPtr pkt);
+    void finishVerify(PktPtr pkt, bool allowed);
 
     // -- ACM cache organization helpers ----------------------------------
     bool acmLookup(std::uint64_t fam_page);
     void acmInstall(std::uint64_t fam_page);
 
     // -- FAM forwarding ---------------------------------------------------
-    void forwardToFam(const PktPtr& pkt);
-    void sendFamAccess(const PktPtr& pkt, FamAddr addr, MemOp op,
-                       PacketKind kind, std::function<void()> done);
-    void deny(const PktPtr& pkt);
-    void respondToNode(const PktPtr& pkt);
+    /** Continuation of one STU-issued FAM read (walk step, ACM, bitmap). */
+    using FamDone = InlineFunction<void(), 40>;
+
+    void forwardToFam(PktPtr pkt);
+    void sendFamAccess(const Packet& origin, FamAddr addr, MemOp op,
+                       PacketKind kind, FamDone done);
+    void sendToMedia(PktPtr pkt);
+    void deny(PktPtr pkt);
+    void respondToNode(PktPtr pkt);
 
     StuParams params_;
     NodeId node_;
@@ -195,11 +213,11 @@ class Stu : public Component
     PtwCache famPtwCache_;
 
     /** Outstanding walks merged per NPA page. */
-    U64FlatMap<std::vector<PktPtr>> walkMshrs_;
+    U64FlatMap<Walk> walkMshrs_;
 
     /** I-FAM outstanding-mapping-list occupancy + stall queue. */
     unsigned outstanding_ = 0;
-    std::vector<PktPtr> stallQueue_;
+    std::deque<PktPtr> stallQueue_;
 
     Counter& tlbLookups_;
     Counter& tlbHits_;

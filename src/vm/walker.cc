@@ -58,7 +58,7 @@ NodePtWalker::step(std::uint64_t va_page,
                    done = std::move(done)](Packet&) mutable {
         step(va_page, std::move(steps), index + 1, std::move(done));
     };
-    mem_.access(pkt);
+    mem_.access(std::move(pkt));
 }
 
 double

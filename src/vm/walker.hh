@@ -16,12 +16,11 @@
 #define FAMSIM_VM_WALKER_HH
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "mem/mem_sink.hh"
+#include "sim/inline_function.hh"
 #include "sim/simulation.hh"
 #include "vm/page_table.hh"
 #include "vm/tlb.hh"
@@ -33,7 +32,7 @@ class NodePtWalker : public Component
 {
   public:
     using Leaf = HierarchicalPageTable::Leaf;
-    using DoneFn = std::function<void(std::optional<Leaf>)>;
+    using DoneFn = InlineFunction<void(std::optional<Leaf>), 16>;
 
     NodePtWalker(Simulation& sim, const std::string& name,
                  HierarchicalPageTable& table, PtwCache& ptw_cache,

@@ -1,0 +1,159 @@
+/**
+ * @file
+ * Host-independent cost gate: heap allocations on the datapath.
+ *
+ * This binary replaces the global operator new/delete with a counting
+ * pair, armed only around System::run, so construction, stats export
+ * and GoogleTest's own bookkeeping stay out of the count. On the serial
+ * kernel the count is exact for a given toolchain: it does not depend
+ * on the host or its load. On the partitioned kernel every worker's
+ * allocations count, and the total moves by a few per 1k instructions
+ * with which worker runs which partition (a packet freed on another
+ * worker refills that worker's pool, not its allocator's).
+ *
+ * Packets move hop to hop, MSHRs hold their first waiter inline and
+ * completion chains stack in the packet, so a simulated access needs
+ * no heap block. What is left is merged MSHR waiters, flat-map
+ * tombstone rehashes and the parallel kernel's per-window task.
+ */
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <string>
+
+#include "arch/system.hh"
+#include "harness/scenario.hh"
+#include "harness/sweep.hh"
+
+namespace {
+
+std::atomic<bool> gCounting{false};
+std::atomic<std::uint64_t> gAllocations{0};
+
+void*
+countedAlloc(std::size_t size)
+{
+    if (gCounting.load(std::memory_order_relaxed))
+        gAllocations.fetch_add(1, std::memory_order_relaxed);
+    if (void* ptr = std::malloc(size == 0 ? 1 : size))
+        return ptr;
+    throw std::bad_alloc();
+}
+
+void*
+countedAlignedAlloc(std::size_t size, std::align_val_t align)
+{
+    if (gCounting.load(std::memory_order_relaxed))
+        gAllocations.fetch_add(1, std::memory_order_relaxed);
+    auto alignment = static_cast<std::size_t>(align);
+    // aligned_alloc wants a size that is a multiple of the alignment.
+    std::size_t rounded = (size + alignment - 1) / alignment * alignment;
+    if (void* ptr = std::aligned_alloc(alignment,
+                                       rounded == 0 ? alignment : rounded))
+        return ptr;
+    throw std::bad_alloc();
+}
+
+} // namespace
+
+// The nothrow forms forward to these in libstdc++, so they count too.
+void* operator new(std::size_t size) { return countedAlloc(size); }
+void* operator new[](std::size_t size) { return countedAlloc(size); }
+void*
+operator new(std::size_t size, std::align_val_t align)
+{
+    return countedAlignedAlloc(size, align);
+}
+void*
+operator new[](std::size_t size, std::align_val_t align)
+{
+    return countedAlignedAlloc(size, align);
+}
+void operator delete(void* ptr) noexcept { std::free(ptr); }
+void operator delete[](void* ptr) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::align_val_t) noexcept { std::free(ptr); }
+void
+operator delete[](void* ptr, std::align_val_t) noexcept
+{
+    std::free(ptr);
+}
+void
+operator delete(void* ptr, std::size_t, std::align_val_t) noexcept
+{
+    std::free(ptr);
+}
+void
+operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept
+{
+    std::free(ptr);
+}
+
+namespace famsim {
+namespace {
+
+/** Ceiling on operator-new calls per 1,000 simulated instructions. */
+constexpr double kMaxAllocationsPerKiloInstruction = 100.0;
+
+struct DatapathRun {
+    const char* scenario;
+    unsigned threads;
+};
+
+/** @return operator-new calls per 1,000 instructions of one run. */
+double
+allocationsPerKiloInstruction(const DatapathRun& run)
+{
+    const ScenarioRegistry& paper = ScenarioRegistry::paper();
+    const Scenario& scenario =
+        paper.has(run.scenario)
+            ? paper.byName(run.scenario)
+            : SweepRegistry::paperPoints().byName(run.scenario);
+    System system(scenario.config);
+    gAllocations.store(0);
+    gCounting.store(true);
+    system.run(run.threads);
+    gCounting.store(false);
+
+    std::uint64_t instructions = 0;
+    for (unsigned n = 0; n < scenario.config.nodes; ++n) {
+        for (auto& core : system.node(n).cores)
+            instructions += core.core->instructionsRetired();
+    }
+    EXPECT_GT(instructions, 0u);
+    return instructions == 0
+               ? 0.0
+               : static_cast<double>(gAllocations.load()) * 1000.0 /
+                     static_cast<double>(instructions);
+}
+
+TEST(Datapath, HeapAllocationsPerKiloInstruction)
+{
+    // The four Fig. 12 architectures on the serial kernel, and a
+    // 4-node run on the partitioned kernel, whose packets cross
+    // partitions (and worker threads) at every fabric hop.
+    const DatapathRun runs[] = {
+        {"fig12_performance.mcf.efam", 0},
+        {"fig12_performance.mcf.ifam", 0},
+        {"fig12_performance.mcf.deactw", 0},
+        {"fig12_performance.mcf.deactn", 0},
+        {"fig16_num_nodes.n4", 2},
+    };
+    for (const DatapathRun& run : runs) {
+        double per_kinstr = allocationsPerKiloInstruction(run);
+        std::printf("%-30s threads %u: %.2f allocations per 1k "
+                    "instructions\n",
+                    run.scenario, run.threads, per_kinstr);
+        EXPECT_LE(per_kinstr, kMaxAllocationsPerKiloInstruction)
+            << run.scenario << " at threads " << run.threads;
+    }
+}
+
+} // namespace
+} // namespace famsim

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/cache_level.hh"
 #include "mem/banked_memory.hh"
 #include "mem/packet.hh"
@@ -44,6 +46,52 @@ TEST(Packet, CompleteRunsCallbackExactlyOnce)
     pkt->complete();
     pkt->complete(); // second call must be a no-op
     EXPECT_EQ(calls, 1);
+}
+
+TEST(Packet, HopsRunLastInFirstOutEachOnce)
+{
+    auto pkt = makePacket(0, 0, MemOp::Read, PacketKind::Data);
+    std::vector<int> order;
+    std::vector<int>* log = &order; // hop captures are plain values
+    pkt->onDone = [log](Packet&) { log->push_back(0); };
+    for (int hop = 1; hop <= 3; ++hop) {
+        pkt->pushHop([log, hop](Packet& p) {
+            log->push_back(hop);
+            p.complete();
+        });
+    }
+    pkt->complete();
+    pkt->complete(); // the chain is spent: nothing runs twice
+    EXPECT_EQ(order, (std::vector<int>{3, 2, 1, 0}));
+}
+
+TEST(Packet, HopThatDoesNotContinueEndsTheChain)
+{
+    auto pkt = makePacket(0, 0, MemOp::Read, PacketKind::Data);
+    int base = 0;
+    int lower = 0;
+    int top = 0;
+    pkt->onDone = [&base](Packet&) { ++base; };
+    int* lower_runs = &lower;
+    int* top_runs = &top;
+    pkt->pushHop([lower_runs](Packet& p) {
+        ++*lower_runs;
+        p.complete();
+    });
+    pkt->pushHop([top_runs](Packet&) { ++*top_runs; });
+    pkt->complete();
+    EXPECT_EQ(top, 1);
+    EXPECT_EQ(lower, 0);
+    EXPECT_EQ(base, 0);
+}
+
+TEST(Packet, PushingPastMaxHopsPanics)
+{
+    ScopedThrowOnError guard;
+    auto pkt = makePacket(0, 0, MemOp::Read, PacketKind::Data);
+    for (unsigned i = 0; i < Packet::kMaxHops; ++i)
+        pkt->pushHop([](Packet& p) { p.complete(); });
+    EXPECT_THROW(pkt->pushHop([](Packet& p) { p.complete(); }), SimError);
 }
 
 TEST(Packet, KindNamesArePrintable)
@@ -195,6 +243,27 @@ TEST_F(CacheLevelTest, MissFillsThenHits)
     sim_.run();
     EXPECT_EQ(stub_.accesses, 1u); // no new fill
     EXPECT_EQ(done_at - start, 1 * kNanosecond);
+}
+
+TEST_F(CacheLevelTest, HandedOffMissCompletesOnceAndFreesItsPacket)
+{
+    int completed = 0;
+    Packet* request = nullptr;
+    {
+        PktPtr pkt = dataRead(0x40);
+        request = pkt.get();
+        pkt->onDone = [&](Packet&) { ++completed; };
+        cache_.access(std::move(pkt));
+        EXPECT_FALSE(pkt); // the cache owns the only handle now
+    }
+    sim_.run();
+    EXPECT_EQ(completed, 1);
+    EXPECT_EQ(stub_.accesses, 1u);
+    // No handle outlived the access: the request and its fill went
+    // back to this thread's pool, so the next two packets reuse them.
+    PktPtr a = makePacket(0, 0, MemOp::Read, PacketKind::Data);
+    PktPtr b = makePacket(0, 0, MemOp::Read, PacketKind::Data);
+    EXPECT_TRUE(a.get() == request || b.get() == request);
 }
 
 TEST_F(CacheLevelTest, MshrMergesConcurrentMisses)

@@ -25,12 +25,13 @@ class StubMemory : public MemSink
     }
 
     void
-    access(const PktPtr& pkt) override
+    access(PktPtr pkt) override
     {
         ++accesses;
         lastAddr = pkt->npa.value();
         kinds.push_back(pkt->kind);
-        sim_.events().scheduleAfter(latency_, [pkt] { pkt->complete(); });
+        sim_.events().scheduleAfter(
+            latency_, [pkt = std::move(pkt)] { pkt->complete(); });
     }
 
     std::uint64_t accesses = 0;
