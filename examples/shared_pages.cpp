@@ -29,7 +29,7 @@ tryAccess(System& system, unsigned node, std::uint64_t npa_page,
         system.broker().logicalIdOf(static_cast<NodeId>(node));
     pkt->npa = NPAddr(npa_page * kPageSize);
     pkt->onDone = [&](Packet& p) { granted = p.accessGranted; };
-    system.node(node).stu->handleFromNode(pkt);
+    system.node(node).stu->handleFromNode(std::move(pkt));
     system.sim().run();
     return granted;
 }

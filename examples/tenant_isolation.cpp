@@ -40,7 +40,7 @@ sendRaw(System& system, unsigned node, std::uint64_t fam_page,
         pkt->verified = true;
     }
     pkt->onDone = [&](Packet& p) { granted = p.accessGranted; };
-    system.node(node).stu->handleFromNode(pkt);
+    system.node(node).stu->handleFromNode(std::move(pkt));
     system.sim().run();
     return granted;
 }

@@ -35,14 +35,13 @@ class DirectFamPath : public Component, public MemSink
         ++accesses_;
         // E-FAM performs no system-level vetting (Table I: insecure).
         pkt->accessGranted = true;
-        // The media's completion pops this hop, which carries the
-        // response back; it takes its own handle (the module drops
-        // its handle once the hop returns).
-        pkt->pushHop([this](Packet& p) {
-            fabric_.sendResponse(node_, [this, pkt = PktPtr(&p)]() mutable {
+        // The media's completion pops this hop and hands it the
+        // handle, which the response carries back.
+        pkt->pushHop([this](PktPtr p) {
+            fabric_.sendResponse(node_, [this, p = std::move(p)]() mutable {
                 sim_.events().scheduleAfter(
                     nodeLink_,
-                    [pkt = std::move(pkt)] { pkt->complete(); });
+                    [p = std::move(p)]() mutable { complete(std::move(p)); });
             });
         });
         sim_.events().scheduleAfter(nodeLink_,

@@ -38,7 +38,7 @@ CacheLevel::lookup(PktPtr pkt)
         ++hits_;
         if (pkt->isWrite())
             meta->dirty = true;
-        pkt->complete();
+        complete(std::move(pkt));
         return;
     }
 
@@ -101,7 +101,7 @@ CacheLevel::handleFill(std::uint64_t block_key)
         next_.access(std::move(wb));
     }
 
-    waiters.forEach([](const PktPtr& w) { w->complete(); });
+    waiters.forEach([](PktPtr& w) { complete(std::move(w)); });
 }
 
 void

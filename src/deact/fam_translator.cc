@@ -59,7 +59,7 @@ FamTranslator::startLookup(PktPtr pkt)
     // completion hop frees it and wakes a stalled request.
     if (!pkt->isWrite()) {
         ++outstanding_;
-        pkt->pushHop([this](Packet& p) {
+        pkt->pushHop([this](PktPtr p) {
             FAMSIM_ASSERT(outstanding_ > 0,
                           "outstanding mapping list underflow");
             --outstanding_;
@@ -69,7 +69,7 @@ FamTranslator::startLookup(PktPtr pkt)
                 stallQueue_.pop_front();
                 startLookup(std::move(next));
             }
-            p.complete();
+            complete(std::move(p));
         });
     }
 

@@ -75,12 +75,6 @@ class FabricLink : public Component, public Arbiter
                                    std::forward<F>(deliver));
             return;
         }
-        // Request deliveries are small ([component, PktPtr] captures);
-        // one heap allocation per fabric crossing would dominate the
-        // inbox cost, so pin them to the inline payload budget.
-        static_assert(sizeof(std::decay_t<F>) <= kMailboxInlineBytes,
-                      "fabric request continuation no longer fits the "
-                      "mailbox inline payload");
         postRequestParallel(dst_module,
                             makeDelivery(std::forward<F>(deliver)));
     }
@@ -89,8 +83,8 @@ class FabricLink : public Component, public Arbiter
      * Transmit one response-packet-worth of data toward compute node
      * @p dst_node (its parallel kernel partition; ignored on the
      * serial path). Datapath responses carry a packet handle or an
-     * STU continuation and fit the inline payload; a larger capture
-     * falls back to one heap block, as std::function always paid.
+     * STU continuation; like requests, they must fit the mailbox
+     * payload (DeliverFn) or the send does not compile.
      */
     template <typename F>
     void

@@ -99,10 +99,10 @@ FamMedia::access(PktPtr pkt)
         // Service span: a completion hop closes it when the module
         // finishes. The completion runs on this module's partition, so
         // the lane stays writer-exclusive.
-        pkt->pushHop([this, lane, now](Packet& p) {
+        pkt->pushHop([this, lane, now](PktPtr p) {
             sim_.trace()->span(TraceSink::kPacket, lane, "media.access",
                                now, sim_.curTick());
-            p.complete();
+            complete(std::move(p));
         });
     }
 

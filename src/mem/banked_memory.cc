@@ -80,7 +80,7 @@ BankedMemory::finish(PktPtr pkt)
         waitQueue_.pop_front();
         start(std::move(w.pkt), w.addr);
     }
-    pkt->complete();
+    complete(std::move(pkt));
 }
 
 } // namespace famsim

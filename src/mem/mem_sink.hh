@@ -14,7 +14,7 @@
 
 namespace famsim {
 
-/** Consumer of memory packets; completion is via Packet::onDone. */
+/** Consumer of memory packets; completion is via complete(PktPtr). */
 class MemSink
 {
   public:
@@ -23,8 +23,8 @@ class MemSink
     /**
      * Accept @p pkt for service. The packet's node-physical address
      * must be valid. The caller hands its handle over (move it in);
-     * the sink moves it along and must eventually cause
-     * pkt->complete() to run exactly once.
+     * the sink moves it along and must eventually pass it to
+     * complete().
      */
     virtual void access(PktPtr pkt) = 0;
 };

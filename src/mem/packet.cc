@@ -50,7 +50,7 @@ recyclePacket(Packet* pkt) noexcept
     // A recycle during the drain phase means a merged message payload
     // was destroyed (or run) instead of moved — see check.hh.
     FAMSIM_CHECK_PACKET_POOL();
-    // Clearing onDone first releases captured PktPtrs; those releases
+    // Clearing onDone first drops the handles its closure owns; those
     // may recycle further packets (the pool tolerates reentrant
     // pushes). The remaining fields are reset in makePacket.
     pkt->onDone = nullptr;
@@ -87,11 +87,6 @@ makePacket(NodeId node, CoreId core, MemOp op, PacketKind kind)
     // An allocation during the drain phase means a merged message
     // payload executed simulation work — see check.hh.
     FAMSIM_CHECK_PACKET_POOL();
-    // Thread-local so parallel workers never contend; ids are used for
-    // tracing and uniqueness checks only, never for simulated behavior,
-    // so per-thread sequences (which may collide across threads) are
-    // fine.
-    thread_local std::uint64_t next_id = 1;
     auto& pool = packetPool().free;
     Packet* pkt;
     if (pool.empty()) {
@@ -100,7 +95,7 @@ makePacket(NodeId node, CoreId core, MemOp op, PacketKind kind)
         pkt = pool.back();
         pool.pop_back();
         // Reset to a freshly-constructed state (onDone was already
-        // cleared on recycle; the refcount is zero by construction).
+        // cleared on recycle).
         pkt->vaddr = VAddr{};
         pkt->npa = NPAddr{};
         pkt->fam = FamAddr{};
@@ -113,14 +108,13 @@ makePacket(NodeId node, CoreId core, MemOp op, PacketKind kind)
         pkt->tsFabricReq = 0;
         pkt->hopCount_ = 0;
     }
-    pkt->id = next_id++;
     pkt->node = node;
     pkt->logicalNode = node;
     pkt->core = core;
     pkt->job = 0;
     pkt->op = op;
     pkt->kind = kind;
-    return PktPtr(pkt, PktPtr::Fresh{});
+    return PktPtr(pkt);
 }
 
 } // namespace famsim

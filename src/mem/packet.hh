@@ -13,11 +13,11 @@
 #ifndef FAMSIM_MEM_PACKET_HH
 #define FAMSIM_MEM_PACKET_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <new>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/inline_function.hh"
@@ -53,16 +53,74 @@ isTranslationKind(PacketKind kind)
 [[nodiscard]] const char* toString(PacketKind kind);
 
 struct Packet;
-class PktPtr;
+
+namespace detail {
+/** Return an unowned packet to the recycling pool (packet.cc). */
+void recyclePacket(Packet* pkt) noexcept;
+} // namespace detail
+
+/**
+ * The one owner of a pooled Packet. Move-only: the datapath passes it
+ * by value and moves it hop to hop, so a packet has exactly one owner
+ * at any time, and that owner alone may touch it. When the owner dies
+ * (or reset()s) the packet returns to the pool in packet.cc rather
+ * than to the heap.
+ */
+class PktPtr
+{
+  public:
+    PktPtr() = default;
+
+    PktPtr(const PktPtr&) = delete;
+    PktPtr& operator=(const PktPtr&) = delete;
+
+    PktPtr(PktPtr&& other) noexcept : pkt_(std::exchange(other.pkt_, nullptr))
+    {
+    }
+
+    PktPtr&
+    operator=(PktPtr&& other) noexcept
+    {
+        if (this != &other) {
+            reset();
+            pkt_ = std::exchange(other.pkt_, nullptr);
+        }
+        return *this;
+    }
+
+    ~PktPtr() { reset(); }
+
+    /** Recycle the packet now, if this handle owns one. */
+    void
+    reset()
+    {
+        if (Packet* pkt = std::exchange(pkt_, nullptr))
+            detail::recyclePacket(pkt);
+    }
+
+    [[nodiscard]] Packet* get() const { return pkt_; }
+    [[nodiscard]] Packet& operator*() const { return *pkt_; }
+    [[nodiscard]] Packet* operator->() const { return pkt_; }
+    [[nodiscard]] explicit operator bool() const { return pkt_ != nullptr; }
+
+  private:
+    friend PktPtr makePacket(NodeId, CoreId, MemOp, PacketKind);
+
+    /** Adopt a pool-fresh packet (makePacket only). */
+    explicit PktPtr(Packet* pkt) : pkt_(pkt) {}
+
+    Packet* pkt_ = nullptr;
+};
+
+/**
+ * Continue @p pkt's completion chain: pop the top hop and hand it the
+ * handle, or, with no hop left, run onDone and recycle the packet
+ * when it returns.
+ */
+inline void complete(PktPtr pkt);
 
 /** One in-flight memory access. */
 struct Packet {
-    /**
-     * Tracing id, unique per allocating thread only (the counters are
-     * thread-local; ids can collide across parallel workers). Never
-     * key simulated behavior or cross-thread maps on it.
-     */
-    std::uint64_t id = 0;
     /** Physical node the request originates from. */
     NodeId node = 0;
     /** Logical node id used for access-control checks (migration). */
@@ -76,28 +134,15 @@ struct Packet {
     PacketKind kind = PacketKind::Data;
 
   private:
-    friend class PktPtr;
+    friend void complete(PktPtr pkt);
     friend PktPtr makePacket(NodeId, CoreId, MemOp, PacketKind);
 
-    // Declared here, in the padding after kind, so the count and the
-    // hop depth share the header's cache line, which every hop reads.
-
-    /** Hops pushed and not yet popped. */
-    std::uint8_t hopCount_ = 0;
-
     /**
-     * Intrusive reference count, relaxed-atomic. Handles move hop to
-     * hop (DESIGN.md "Packet handoff"), so after creation the count
-     * rises only for a response hop's self-reference. That
-     * self-reference is taken on the media partition, which still
-     * holds the handle the module finished with, and dies on the node
-     * partition after the fabric response: two worker threads release
-     * the same packet, so the count stays atomic. Increments are
-     * relaxed (an increment always happens on a thread that already
-     * owns a reference); the decrement that hits zero acquires, so
-     * the recycling thread observes all prior releases.
+     * Hops pushed and not yet popped. Declared here, in the padding
+     * after kind, so the hop depth shares the header's cache line,
+     * which every hop reads.
      */
-    std::atomic<std::uint32_t> refs_{0};
+    std::uint8_t hopCount_ = 0;
 
   public:
     /** Virtual address (valid for core-issued requests). */
@@ -141,9 +186,9 @@ struct Packet {
     Tick tsFabricReq = 0;
 
     /**
-     * Base completion callback, run exactly once when the access ends,
-     * after every hop above it. The issuer's continuation (a core, a
-     * cache fill, a walker step) lives here inline.
+     * Base completion callback, run once when the access ends, after
+     * every hop above it. The issuer's continuation (a core, a cache
+     * fill, a walker step) lives here inline.
      */
     InlineFunction<void(Packet&)> onDone;
 
@@ -162,11 +207,11 @@ struct Packet {
      * Stack a completion hop above onDone and every hop pushed before
      * it. A component on the way out (FAM translator, STU, E-FAM path,
      * media trace span) pushes itself instead of wrapping onDone, so a
-     * chain costs no heap block. @p hop runs on complete() and carries
-     * the chain on by calling p.complete() — at once, or from a later
-     * event that holds its own handle to the packet. The capture must
-     * be plain values that fit one 24-byte hop slot; a handle inside
-     * it would keep the packet alive from its own stack.
+     * chain costs no heap block. complete() hands @p hop the packet's
+     * handle; the hop carries the chain on by passing it to
+     * complete() — at once, or from a later event it moved the handle
+     * into — and ends the chain by dropping it. The capture must be
+     * plain values that fit one 24-byte hop slot.
      */
     template <typename F>
     void
@@ -178,42 +223,25 @@ struct Packet {
         static_assert(sizeof(F) <= Hop::kCaptureBytes &&
                           alignof(F) <= alignof(Hop),
                       "hop capture exceeds its slot");
-        static_assert(std::is_invocable_r_v<void, const F&, Packet&>,
-                      "a hop is invocable as void(Packet&)");
+        static_assert(std::is_invocable_r_v<void, const F&, PktPtr>,
+                      "a hop is invocable as void(PktPtr)");
         if (hopCount_ == kMaxHops)
             FAMSIM_PANIC("completion chain deeper than ", kMaxHops,
-                         " hops on packet ", id);
+                         " hops on a ", toString(kind), " packet of node ",
+                         node, " core ", core);
         Hop& slot = hops_[hopCount_++];
         ::new (static_cast<void*>(slot.capture)) F(hop);
-        slot.run = [](const Hop& self, Packet& p) {
-            (*std::launder(reinterpret_cast<const F*>(self.capture)))(p);
+        slot.run = [](const Hop& self, PktPtr p) {
+            (*std::launder(reinterpret_cast<const F*>(self.capture)))(
+                std::move(p));
         };
-    }
-
-    /**
-     * Continue the completion chain: pop and run the top hop, or, with
-     * none left, invoke and clear onDone.
-     */
-    void
-    complete()
-    {
-        if (hopCount_ != 0) {
-            const Hop hop = hops_[--hopCount_];
-            hop.run(hop, *this);
-            return;
-        }
-        if (onDone) {
-            auto cb = std::move(onDone);
-            onDone = nullptr;
-            cb(*this);
-        }
     }
 
   private:
     /** One stacked completion hop: a thunk plus its plain capture. */
     struct Hop {
         static constexpr std::size_t kCaptureBytes = 24;
-        void (*run)(const Hop&, Packet&) = nullptr;
+        void (*run)(const Hop&, PktPtr) = nullptr;
         alignas(std::uint64_t) unsigned char capture[kCaptureBytes];
     };
     static_assert(sizeof(Hop) == 32, "a hop entry is 32 bytes");
@@ -221,122 +249,19 @@ struct Packet {
     Hop hops_[kMaxHops];
 };
 
-namespace detail {
-/** Return a zero-ref packet to the recycling pool (packet.cc). */
-void recyclePacket(Packet* pkt) noexcept;
-} // namespace detail
-
-/**
- * Intrusive refcounted handle to a pooled Packet; when the last handle
- * dies the packet returns to the pool in packet.cc rather than to the
- * heap. The datapath passes handles by value and moves them hop to
- * hop, so a hand-off costs no atomic; copy one only for a real second
- * owner.
- */
-class PktPtr
+inline void
+complete(PktPtr pkt)
 {
-  public:
-    PktPtr() = default;
-    PktPtr(std::nullptr_t) {}
-
-    /**
-     * Take a new reference to @p pkt, which another handle keeps
-     * alive: a running hop was handed the packet by reference and
-     * must keep it past its return (the response path's
-     * self-reference).
-     */
-    explicit PktPtr(Packet* pkt) : pkt_(pkt)
-    {
-        if (pkt_)
-            pkt_->refs_.fetch_add(1, std::memory_order_relaxed);
+    Packet& p = *pkt;
+    if (p.hopCount_ != 0) {
+        // Run a copy: the hop may push onto the slot it was popped from.
+        const Packet::Hop hop = p.hops_[--p.hopCount_];
+        hop.run(hop, std::move(pkt));
+        return;
     }
-
-    PktPtr(const PktPtr& other) : pkt_(other.pkt_)
-    {
-        if (pkt_)
-            pkt_->refs_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    PktPtr(PktPtr&& other) noexcept : pkt_(other.pkt_)
-    {
-        other.pkt_ = nullptr;
-    }
-
-    PktPtr&
-    operator=(const PktPtr& other)
-    {
-        PktPtr copy(other);
-        swap(copy);
-        return *this;
-    }
-
-    PktPtr&
-    operator=(PktPtr&& other) noexcept
-    {
-        if (this != &other) {
-            release();
-            pkt_ = other.pkt_;
-            other.pkt_ = nullptr;
-        }
-        return *this;
-    }
-
-    PktPtr&
-    operator=(std::nullptr_t)
-    {
-        release();
-        return *this;
-    }
-
-    ~PktPtr() { release(); }
-
-    void
-    swap(PktPtr& other) noexcept
-    {
-        Packet* tmp = pkt_;
-        pkt_ = other.pkt_;
-        other.pkt_ = tmp;
-    }
-
-    void reset() { release(); }
-
-    [[nodiscard]] Packet* get() const { return pkt_; }
-    [[nodiscard]] Packet& operator*() const { return *pkt_; }
-    [[nodiscard]] Packet* operator->() const { return pkt_; }
-    [[nodiscard]] explicit operator bool() const { return pkt_ != nullptr; }
-
-    friend bool
-    operator==(const PktPtr& a, const PktPtr& b)
-    {
-        return a.pkt_ == b.pkt_;
-    }
-    friend bool
-    operator==(const PktPtr& a, std::nullptr_t)
-    {
-        return a.pkt_ == nullptr;
-    }
-
-  private:
-    friend PktPtr makePacket(NodeId, CoreId, MemOp, PacketKind);
-
-    struct Fresh {};
-    /** Adopt a pool-fresh packet: no other handle exists, so store. */
-    PktPtr(Packet* pkt, Fresh) : pkt_(pkt)
-    {
-        pkt_->refs_.store(1, std::memory_order_relaxed);
-    }
-
-    void
-    release()
-    {
-        if (pkt_ &&
-            pkt_->refs_.fetch_sub(1, std::memory_order_acq_rel) == 1)
-            detail::recyclePacket(pkt_);
-        pkt_ = nullptr;
-    }
-
-    Packet* pkt_ = nullptr;
-};
+    if (p.onDone)
+        p.onDone(p);
+}
 
 /**
  * Packets waiting on one outstanding miss (an MSHR's waiter list), in
@@ -375,7 +300,7 @@ class PktWaiters
     std::vector<PktPtr> rest_;
 };
 
-/** Create a packet with a fresh id. */
+/** Take a packet from the pool, owned by the returned handle. */
 PktPtr makePacket(NodeId node, CoreId core, MemOp op, PacketKind kind);
 
 } // namespace famsim

@@ -12,13 +12,15 @@
  *
  * Payloads are InlineFunction, not std::function: std::function's
  * 16-byte inline buffer heap-allocated once per fabric crossing for
- * every delivery capture bigger than a pointer. The kMailboxInlineBytes
- * budget keeps the common continuations (a component pointer plus a
- * PktPtr, or an STU done-functor) in place; oversized captures fall
- * back to one heap block, exactly as std::function always did.
- * makeDelivery() keeps the continuation's concrete type, so the flush
- * schedules it straight into the event queue's pooled slots instead
- * of nesting one type-erased wrapper inside another.
+ * every delivery capture bigger than a pointer. Every continuation (a
+ * component pointer plus a packet handle, or an STU done-functor)
+ * fits the kMailboxInlineBytes budget in place, and one that does not
+ * fails to compile. A payload that owns a packet carries it across
+ * partitions; the window barrier that hands over the inbox orders
+ * that handoff like any other payload. makeDelivery() keeps the
+ * continuation's concrete type, so the flush schedules it straight
+ * into the event queue's pooled slots instead of nesting one
+ * type-erased wrapper inside another.
  */
 
 #ifndef FAMSIM_PSIM_MAILBOX_HH

@@ -75,7 +75,7 @@ WorkerPool::claimTasks()
             nextTask_.fetch_add(1, std::memory_order_relaxed);
         if (task >= epochTasks_)
             return;
-        (*epochFn_)(task);
+        epochThunk_(epochCtx_, task);
     }
 }
 
@@ -96,18 +96,18 @@ WorkerPool::workerMain()
 }
 
 void
-WorkerPool::runEpoch(std::size_t tasks,
-                     const std::function<void(std::size_t)>& fn)
+WorkerPool::runTasks(std::size_t tasks, const void* ctx, TaskThunk thunk)
 {
     if (tasks == 0)
         return;
     ++epochs_;
     if (workers_.empty()) {
         for (std::size_t i = 0; i < tasks; ++i)
-            fn(i);
+            thunk(ctx, i);
         return;
     }
-    epochFn_ = &fn;
+    epochCtx_ = ctx;
+    epochThunk_ = thunk;
     epochTasks_ = tasks;
     nextTask_.store(0, std::memory_order_relaxed);
     // Every worker joins every epoch (a full-acknowledgment barrier):

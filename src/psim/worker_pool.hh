@@ -31,7 +31,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -65,12 +65,24 @@ class WorkerPool
      * Run fn(0) .. fn(tasks - 1), each exactly once, distributed over
      * the pool (the caller helps). Returns only after every worker has
      * acknowledged the epoch — a full barrier: everything the tasks
-     * wrote happens-before the return.
+     * wrote happens-before the return. The workers call @p fn through
+     * a reference, so an epoch costs no allocation.
      */
-    void runEpoch(std::size_t tasks,
-                  const std::function<void(std::size_t)>& fn);
+    template <typename F>
+    void
+    runEpoch(std::size_t tasks, const F& fn)
+    {
+        runTasks(tasks, std::addressof(fn),
+                 [](const void* ctx, std::size_t task) {
+                     (*static_cast<const F*>(ctx))(task);
+                 });
+    }
 
   private:
+    /** Type-erased task: the epoch's callable and its invoker. */
+    using TaskThunk = void (*)(const void*, std::size_t);
+
+    void runTasks(std::size_t tasks, const void* ctx, TaskThunk thunk);
     void workerMain();
     void claimTasks();
 
@@ -81,7 +93,8 @@ class WorkerPool
     std::atomic<std::uint32_t> busy_{0};
     /** Written before a generation bump, read after it. */
     bool shutdown_ = false;
-    const std::function<void(std::size_t)>* epochFn_ = nullptr;
+    const void* epochCtx_ = nullptr;
+    TaskThunk epochThunk_ = nullptr;
     std::size_t epochTasks_ = 0;
     std::atomic<std::size_t> nextTask_{0};
     /** Caller-thread only. */

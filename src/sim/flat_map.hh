@@ -6,10 +6,14 @@
  * array, then node chase); the ACM store and the MSHR tables sit on
  * the per-access path, so those misses are measurable. U64FlatMap is
  * a flat linear-probing table — one likely cache line per probe —
- * with Fibonacci hashing, tombstone deletion and load-factor-0.7
+ * with Fibonacci hashing, backward-shift deletion and load-factor-0.7
  * growth. The API is the subset those call sites use (operator[],
  * try_emplace, find, erase, range iteration); iteration order is slot
- * order, which is deterministic for a given insertion sequence.
+ * order, which is deterministic for a given sequence of operations.
+ *
+ * An erase moves later entries of the same probe run back into the
+ * hole, so it invalidates every iterator and reference into the map,
+ * not just the erased entry's.
  */
 
 #ifndef FAMSIM_SIM_FLAT_MAP_HH
@@ -158,29 +162,22 @@ class U64FlatMap
     std::pair<iterator, bool>
     try_emplace(std::uint64_t key)
     {
-        maybeGrow();
+        // Grow only when live entries need the room: an erase leaves
+        // no tombstone, so the MSHR churn (one insert + one erase per
+        // miss) never fills the table.
+        if ((size_ + 1) * 10 > state_.size() * 7)
+            rehash(state_.size() * 2);
         std::size_t idx = indexOf(key);
-        std::size_t insert_at = state_.size();
-        for (;;) {
-            std::uint8_t s = state_[idx];
-            if (s == kEmpty) {
-                if (insert_at == state_.size())
-                    insert_at = idx;
-                break;
-            }
-            if (s == kFull && slots_[idx].first == key)
+        while (state_[idx] == kFull) {
+            if (slots_[idx].first == key)
                 return {iterator(this, idx), false};
-            if (s == kTomb && insert_at == state_.size())
-                insert_at = idx;
             idx = (idx + 1) & mask_;
         }
-        if (state_[insert_at] == kEmpty)
-            ++used_;
-        state_[insert_at] = kFull;
-        slots_[insert_at].first = key;
-        slots_[insert_at].second = V{};
+        state_[idx] = kFull;
+        slots_[idx].first = key;
+        slots_[idx].second = V{};
         ++size_;
-        return {iterator(this, insert_at), true};
+        return {iterator(this, idx), true};
     }
 
     V&
@@ -189,11 +186,28 @@ class U64FlatMap
         return try_emplace(key).first->second;
     }
 
+    /**
+     * Backward-shift deletion (Knuth, TAOCP 6.4, Algorithm R): walk the
+     * probe run after the hole and move back every entry whose home
+     * slot does not lie cyclically in (hole, entry], so each remaining
+     * key stays reachable from its home without tombstones.
+     */
     void
     erase(iterator it)
     {
-        state_[it.idx_] = kTomb;
-        slots_[it.idx_].second = V{}; // release the value's resources
+        std::size_t hole = it.idx_;
+        for (std::size_t idx = (hole + 1) & mask_; state_[idx] == kFull;
+             idx = (idx + 1) & mask_) {
+            std::size_t home = indexOf(slots_[idx].first);
+            bool stays = hole <= idx ? hole < home && home <= idx
+                                     : hole < home || home <= idx;
+            if (stays)
+                continue;
+            slots_[hole] = std::move(slots_[idx]);
+            hole = idx;
+        }
+        state_[hole] = kEmpty;
+        slots_[hole].second = V{}; // release the value's resources
         --size_;
     }
 
@@ -211,7 +225,6 @@ class U64FlatMap
   private:
     static constexpr std::uint8_t kEmpty = 0;
     static constexpr std::uint8_t kFull = 1;
-    static constexpr std::uint8_t kTomb = 2;
     static constexpr std::size_t kMinCapacity = 16;
 
     /** Slot of @p key, or state_.size() when absent. */
@@ -219,14 +232,11 @@ class U64FlatMap
     findIndex(std::uint64_t key) const
     {
         std::size_t idx = indexOf(key);
-        for (;;) {
-            std::uint8_t s = state_[idx];
-            if (s == kEmpty)
-                return state_.size();
-            if (s == kFull && slots_[idx].first == key)
+        for (; state_[idx] == kFull; idx = (idx + 1) & mask_) {
+            if (slots_[idx].first == key)
                 return idx;
-            idx = (idx + 1) & mask_;
         }
+        return state_.size();
     }
 
     [[nodiscard]] std::size_t
@@ -239,33 +249,17 @@ class U64FlatMap
     }
 
     void
-    maybeGrow()
-    {
-        // used_ counts full + tombstone slots: probes only terminate
-        // on empties, so tombstones must count against the load too.
-        // Grow only when LIVE entries need the space; when the load is
-        // mostly tombstones (the MSHR churn pattern: one insert + one
-        // erase per miss), rehash in place to clear them — otherwise
-        // capacity would double per ~0.7 * capacity operations forever.
-        if ((used_ + 1) * 10 > state_.size() * 7) {
-            bool live_needs_room = (size_ + 1) * 20 > state_.size() * 7;
-            rehash(live_needs_room ? state_.size() * 2 : state_.size());
-        }
-    }
-
-    void
     rehash(std::size_t capacity)
     {
         std::vector<value_type> old_slots = std::move(slots_);
         std::vector<std::uint8_t> old_state = std::move(state_);
-        slots_.assign(capacity, value_type{});
+        slots_ = std::vector<value_type>(capacity);
         state_.assign(capacity, kEmpty);
         mask_ = capacity - 1;
         shift_ = 1;
         while ((std::size_t{1} << (64 - shift_)) > capacity)
             ++shift_;
         size_ = 0;
-        used_ = 0;
         for (std::size_t i = 0; i < old_state.size(); ++i) {
             if (old_state[i] != kFull)
                 continue;
@@ -279,7 +273,6 @@ class U64FlatMap
     std::size_t mask_ = 0;
     unsigned shift_ = 64;
     std::size_t size_ = 0;
-    std::size_t used_ = 0;
 };
 
 } // namespace famsim

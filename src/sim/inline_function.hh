@@ -1,21 +1,21 @@
 /**
  * @file
- * Small-buffer-optimized std::function replacement for hot callbacks.
+ * Small-buffer std::function replacement for hot callbacks.
  *
  * std::function's inline buffer is 16 bytes on libstdc++, so nearly
  * every completion callback in the simulator heap-allocated on
- * assignment. InlineFunction stores callables up to @p N bytes in
- * place and falls back to the heap beyond that. N defaults to 144 so
- * a packet's base completion fits inline — component pointers,
- * PktPtrs, and notably the page-walker continuation (a StepList plus
- * its done-functor, ~128 bytes); datapath continuations that travel
+ * assignment. InlineFunction stores its callable in place, in @p N
+ * bytes, and never allocates: a callable that does not fit is a
+ * compile error naming the buffer. N defaults to 144 so a packet's
+ * base completion fits — component pointers, packet handles, and
+ * notably the page-walker continuation (a StepList plus its
+ * done-functor, ~128 bytes); datapath continuations that travel
  * through the event queue pick an N sized to their captures. A lambda
  * that captures a whole InlineFunction<N> by value is by construction
- * larger than N and always takes the heap path, one block per nesting
- * level, which is why completion chains stack as Packet hops
- * (mem/packet.hh) instead of nesting. Copyable (required by Packet)
- * and movable; dispatch is one static ops table per callable type,
- * like a vtable.
+ * larger than N and does not compile, which is why completion chains
+ * stack as Packet hops (mem/packet.hh) instead of nesting. Move-only,
+ * so a closure may own a packet handle; dispatch is one static ops
+ * table per callable type, like a vtable.
  */
 
 #ifndef FAMSIM_SIM_INLINE_FUNCTION_HH
@@ -47,13 +47,8 @@ class InlineFunction<R(Args...), N>
         assign(std::forward<F>(fn));
     }
 
-    InlineFunction(const InlineFunction& other)
-    {
-        if (other.ops_) {
-            other.ops_->copyTo(other.buf_, buf_);
-            ops_ = other.ops_;
-        }
-    }
+    InlineFunction(const InlineFunction&) = delete;
+    InlineFunction& operator=(const InlineFunction&) = delete;
 
     InlineFunction(InlineFunction&& other) noexcept
     {
@@ -62,19 +57,6 @@ class InlineFunction<R(Args...), N>
             ops_ = other.ops_;
             other.ops_ = nullptr;
         }
-    }
-
-    InlineFunction&
-    operator=(const InlineFunction& other)
-    {
-        if (this != &other) {
-            reset();
-            if (other.ops_) {
-                other.ops_->copyTo(other.buf_, buf_);
-                ops_ = other.ops_;
-            }
-        }
-        return *this;
     }
 
     InlineFunction&
@@ -125,73 +107,34 @@ class InlineFunction<R(Args...), N>
   private:
     struct Ops {
         R (*call)(void*, Args&&...);
-        void (*copyTo)(const void*, void*);
         /** Move-construct into dst and leave src destroyed. */
         void (*moveTo)(void*, void*);
         void (*destroy)(void*);
     };
 
     template <typename Fn>
-    static constexpr bool
-    fitsInline()
-    {
-        return sizeof(Fn) <= N && alignof(Fn) <= alignof(std::max_align_t);
-    }
-
-    template <typename Fn>
     static Fn*
-    inlineObj(void* buf)
+    target(void* buf)
     {
         return std::launder(reinterpret_cast<Fn*>(buf));
     }
 
     template <typename Fn>
     static const Ops*
-    inlineOps()
+    opsFor()
     {
-        static constexpr Ops ops = {
+        static constexpr Ops table = {
             [](void* buf, Args&&... args) -> R {
-                return (*inlineObj<Fn>(buf))(std::forward<Args>(args)...);
-            },
-            [](const void* src, void* dst) {
-                ::new (dst) Fn(*std::launder(
-                    reinterpret_cast<const Fn*>(src)));
+                return (*target<Fn>(buf))(std::forward<Args>(args)...);
             },
             [](void* src, void* dst) {
-                Fn* obj = inlineObj<Fn>(src);
-                ::new (dst) Fn(std::move(*obj));
-                obj->~Fn();
+                Fn* from = target<Fn>(src);
+                ::new (dst) Fn(std::move(*from));
+                from->~Fn();
             },
-            [](void* buf) { inlineObj<Fn>(buf)->~Fn(); },
+            [](void* buf) { target<Fn>(buf)->~Fn(); },
         };
-        return &ops;
-    }
-
-    template <typename Fn>
-    static Fn*&
-    heapObj(void* buf)
-    {
-        return *std::launder(reinterpret_cast<Fn**>(buf));
-    }
-
-    template <typename Fn>
-    static const Ops*
-    heapOps()
-    {
-        static constexpr Ops ops = {
-            [](void* buf, Args&&... args) -> R {
-                return (*heapObj<Fn>(buf))(std::forward<Args>(args)...);
-            },
-            [](const void* src, void* dst) {
-                ::new (dst) Fn*(new Fn(**std::launder(
-                    reinterpret_cast<Fn* const*>(src))));
-            },
-            [](void* src, void* dst) {
-                ::new (dst) Fn*(heapObj<Fn>(src)); // steal the pointer
-            },
-            [](void* buf) { delete heapObj<Fn>(buf); },
-        };
-        return &ops;
+        return &table;
     }
 
     template <typename F>
@@ -201,14 +144,12 @@ class InlineFunction<R(Args...), N>
         using Fn = std::decay_t<F>;
         static_assert(std::is_invocable_r_v<R, Fn&, Args...>,
                       "callable does not match InlineFunction signature");
-        if constexpr (fitsInline<Fn>()) {
-            ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
-            ops_ = inlineOps<Fn>();
-        } else {
-            ::new (static_cast<void*>(buf_)) Fn*(
-                new Fn(std::forward<F>(fn)));
-            ops_ = heapOps<Fn>();
-        }
+        static_assert(sizeof(Fn) <= N &&
+                          alignof(Fn) <= alignof(std::max_align_t),
+                      "callable does not fit the InlineFunction buffer "
+                      "(buf_, N bytes): shrink its capture or raise N");
+        ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
+        ops_ = opsFor<Fn>();
     }
 
     void

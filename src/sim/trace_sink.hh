@@ -17,8 +17,8 @@
  * byte-identical files, which is what makes the trace of a
  * warmup-free scenario identical across `--threads {0,1,4}`: the
  * kernels may interleave same-tick work differently, but the set of
- * lifecycle events is the same. Packet ids never appear in the output
- * (they are thread-local-unique only; see mem/packet.hh).
+ * lifecycle events is the same. Packets carry no id, so nothing in
+ * the output names an individual packet.
  *
  * Timestamps are emitted in microseconds (ticks are picoseconds, so
  * ts = ticks / 1e6) through json::writeNumber's shortest round-trip

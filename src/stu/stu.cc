@@ -446,16 +446,15 @@ Stu::forwardToFam(PktPtr pkt)
     if (tracked)
         ++outstanding_;
 
-    // The media's completion pops this hop, which carries the response
-    // back over the fabric and the node link. The module drops its
-    // handle once the hop returns, so the response takes its own: the
-    // self-reference that keeps the packet alive in flight.
-    pkt->pushHop([this, tracked](Packet& p) {
-        fabric_.sendResponse(node_, [this, pkt = PktPtr(&p),
+    // The media's completion pops this hop and hands it the handle,
+    // which the response carries back over the fabric and the node
+    // link.
+    pkt->pushHop([this, tracked](PktPtr p) {
+        fabric_.sendResponse(node_, [this, p = std::move(p),
                                      tracked]() mutable {
             sim_.events().scheduleAfter(
                 params_.nodeLinkLatency,
-                [this, pkt = std::move(pkt), tracked] {
+                [this, p = std::move(p), tracked]() mutable {
                     if (tracked) {
                         FAMSIM_ASSERT(outstanding_ > 0,
                                       "outstanding underflow");
@@ -466,7 +465,7 @@ Stu::forwardToFam(PktPtr pkt)
                             forwardToFam(std::move(next));
                         }
                     }
-                    pkt->complete();
+                    complete(std::move(p));
                 });
         });
     });
@@ -513,7 +512,9 @@ void
 Stu::respondToNode(PktPtr pkt)
 {
     sim_.events().scheduleAfter(params_.nodeLinkLatency,
-                                [pkt = std::move(pkt)] { pkt->complete(); });
+                                [pkt = std::move(pkt)]() mutable {
+                                    complete(std::move(pkt));
+                                });
 }
 
 void

@@ -11,10 +11,13 @@
  * with which worker runs which partition (a packet freed on another
  * worker refills that worker's pool, not its allocator's).
  *
- * Packets move hop to hop, MSHRs hold their first waiter inline and
- * completion chains stack in the packet, so a simulated access needs
- * no heap block. What is left is merged MSHR waiters, flat-map
- * tombstone rehashes and the parallel kernel's per-window task.
+ * Packets move hop to hop, MSHRs hold their first waiter inline,
+ * completion chains stack in the packet, flat-map erases leave no
+ * tombstone to rehash away and a psim window hands its task to the
+ * workers by reference, so a simulated access needs no heap block.
+ * The serial gate sits just above what remains (merged MSHR waiters
+ * among it); the partitioned kernel's is looser because its packets
+ * still migrate between workers' pools.
  */
 
 #include <gtest/gtest.h>
@@ -98,12 +101,11 @@ operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept
 namespace famsim {
 namespace {
 
-/** Ceiling on operator-new calls per 1,000 simulated instructions. */
-constexpr double kMaxAllocationsPerKiloInstruction = 100.0;
-
 struct DatapathRun {
     const char* scenario;
     unsigned threads;
+    /** Ceiling on operator-new calls per 1,000 instructions. */
+    double maxPerKiloInstruction;
 };
 
 /** @return operator-new calls per 1,000 instructions of one run. */
@@ -139,18 +141,18 @@ TEST(Datapath, HeapAllocationsPerKiloInstruction)
     // 4-node run on the partitioned kernel, whose packets cross
     // partitions (and worker threads) at every fabric hop.
     const DatapathRun runs[] = {
-        {"fig12_performance.mcf.efam", 0},
-        {"fig12_performance.mcf.ifam", 0},
-        {"fig12_performance.mcf.deactw", 0},
-        {"fig12_performance.mcf.deactn", 0},
-        {"fig16_num_nodes.n4", 2},
+        {"fig12_performance.mcf.efam", 0, 15.0},
+        {"fig12_performance.mcf.ifam", 0, 15.0},
+        {"fig12_performance.mcf.deactw", 0, 15.0},
+        {"fig12_performance.mcf.deactn", 0, 15.0},
+        {"fig16_num_nodes.n4", 2, 100.0},
     };
     for (const DatapathRun& run : runs) {
         double per_kinstr = allocationsPerKiloInstruction(run);
         std::printf("%-30s threads %u: %.2f allocations per 1k "
                     "instructions\n",
                     run.scenario, run.threads, per_kinstr);
-        EXPECT_LE(per_kinstr, kMaxAllocationsPerKiloInstruction)
+        EXPECT_LE(per_kinstr, run.maxPerKiloInstruction)
             << run.scenario << " at threads " << run.threads;
     }
 }

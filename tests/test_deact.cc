@@ -199,12 +199,12 @@ TEST_F(TranslatorTest, VerifiedFlagTravelsWithHits)
     bool saw_verified = false;
     auto pkt = request(0x400ull * kPageSize + 32);
     auto orig = std::move(pkt->onDone);
-    pkt->onDone = [&, orig = std::move(orig)](Packet& p) {
+    pkt->onDone = [&](Packet& p) {
         saw_verified = p.verified;
         EXPECT_EQ(p.fam.pageNumber(), fam_page);
         orig(p);
     };
-    translator_->access(pkt);
+    translator_->access(std::move(pkt));
     test::drain(sim_);
     EXPECT_TRUE(saw_verified);
 }

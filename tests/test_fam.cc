@@ -178,7 +178,7 @@ TEST(FamMedia, RoutesByInterleaveAndCountsKinds)
         pkt->fam = FamAddr(addr);
         pkt->hasFam = true;
         pkt->onDone = [](Packet&) {};
-        media.access(pkt);
+        media.access(std::move(pkt));
     };
     mk(0, PacketKind::Data);
     mk(kPageSize, PacketKind::FamPtw);
@@ -202,7 +202,7 @@ TEST(FamMedia, UnmappedDataPacketPanics)
     FamMedia media(sim, "fam", {});
     auto pkt = makePacket(0, 0, MemOp::Read, PacketKind::Data);
     pkt->hasFam = false;
-    EXPECT_THROW(media.access(pkt), SimError);
+    EXPECT_THROW(media.access(std::move(pkt)), SimError);
 }
 
 // ---------------------------------------------------------------- broker
@@ -421,7 +421,7 @@ TEST(BrokerMedia, MigrationEmitsAcmTrafficAmidInFlightRequests)
         pkt->fam = FamAddr(page * kPageSize);
         pkt->hasFam = true;
         pkt->onDone = [&](Packet&) { ++completed; };
-        media.access(pkt);
+        media.access(std::move(pkt));
     }
 
     MemoryBroker::MigrationReport report;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
 #include <vector>
 
 #include "cache/cache_level.hh"
@@ -31,20 +32,21 @@ TEST(Packet, KindsClassifyTranslation)
     EXPECT_TRUE(isTranslationKind(PacketKind::Broker));
 }
 
-TEST(Packet, IdsAreUnique)
-{
-    auto a = makePacket(0, 0, MemOp::Read, PacketKind::Data);
-    auto b = makePacket(0, 0, MemOp::Read, PacketKind::Data);
-    EXPECT_NE(a->id, b->id);
-}
+// A packet has one owner: handles and the closures that hold them
+// move, and a copy is a compile error.
+static_assert(!std::is_copy_constructible_v<PktPtr> &&
+              !std::is_copy_assignable_v<PktPtr>);
+static_assert(std::is_nothrow_move_constructible_v<PktPtr>);
+static_assert(!std::is_copy_constructible_v<InlineFunction<void()>> &&
+              !std::is_copy_assignable_v<InlineFunction<void()>>);
 
 TEST(Packet, CompleteRunsCallbackExactlyOnce)
 {
     auto pkt = makePacket(0, 0, MemOp::Read, PacketKind::Data);
     int calls = 0;
     pkt->onDone = [&](Packet&) { ++calls; };
-    pkt->complete();
-    pkt->complete(); // second call must be a no-op
+    complete(std::move(pkt));
+    EXPECT_FALSE(pkt); // complete() consumed the only handle
     EXPECT_EQ(calls, 1);
 }
 
@@ -55,34 +57,69 @@ TEST(Packet, HopsRunLastInFirstOutEachOnce)
     std::vector<int>* log = &order; // hop captures are plain values
     pkt->onDone = [log](Packet&) { log->push_back(0); };
     for (int hop = 1; hop <= 3; ++hop) {
-        pkt->pushHop([log, hop](Packet& p) {
+        pkt->pushHop([log, hop](PktPtr p) {
             log->push_back(hop);
-            p.complete();
+            complete(std::move(p));
         });
     }
-    pkt->complete();
-    pkt->complete(); // the chain is spent: nothing runs twice
+    complete(std::move(pkt));
     EXPECT_EQ(order, (std::vector<int>{3, 2, 1, 0}));
 }
 
 TEST(Packet, HopThatDoesNotContinueEndsTheChain)
 {
     auto pkt = makePacket(0, 0, MemOp::Read, PacketKind::Data);
+    Packet* storage = pkt.get();
     int base = 0;
     int lower = 0;
     int top = 0;
     pkt->onDone = [&base](Packet&) { ++base; };
     int* lower_runs = &lower;
     int* top_runs = &top;
-    pkt->pushHop([lower_runs](Packet& p) {
+    pkt->pushHop([lower_runs](PktPtr p) {
         ++*lower_runs;
-        p.complete();
+        complete(std::move(p));
     });
-    pkt->pushHop([top_runs](Packet&) { ++*top_runs; });
-    pkt->complete();
+    pkt->pushHop([top_runs](PktPtr) { ++*top_runs; });
+    complete(std::move(pkt));
     EXPECT_EQ(top, 1);
     EXPECT_EQ(lower, 0);
     EXPECT_EQ(base, 0);
+    // Dropping the handle recycled the packet, hops and all: the next
+    // packet reuses its storage and carries no leftover hop.
+    PktPtr next = makePacket(0, 0, MemOp::Read, PacketKind::Data);
+    EXPECT_EQ(next.get(), storage);
+    complete(std::move(next));
+    EXPECT_EQ(lower, 0);
+}
+
+TEST(Packet, HopCarriesTheHandleIntoALaterEvent)
+{
+    Simulation sim;
+    auto pkt = makePacket(0, 0, MemOp::Read, PacketKind::Data);
+    Packet* storage = pkt.get();
+    int calls = 0;
+    Tick done_at = 0;
+    pkt->onDone = [&](Packet&) {
+        ++calls;
+        done_at = sim.curTick();
+    };
+    Simulation* s = &sim;
+    pkt->pushHop([s](PktPtr p) {
+        s->events().scheduleAfter(
+            30 * kNanosecond,
+            [p = std::move(p)]() mutable { complete(std::move(p)); });
+    });
+    sim.events().scheduleAfter(
+        10 * kNanosecond,
+        [pkt = std::move(pkt)]() mutable { complete(std::move(pkt)); });
+    sim.run();
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(done_at, 40 * kNanosecond);
+    // The last event's handle was the only one: the packet is back in
+    // this thread's pool, and the next packet reuses its storage.
+    PktPtr next = makePacket(0, 0, MemOp::Read, PacketKind::Data);
+    EXPECT_EQ(next.get(), storage);
 }
 
 TEST(Packet, PushingPastMaxHopsPanics)
@@ -90,8 +127,9 @@ TEST(Packet, PushingPastMaxHopsPanics)
     ScopedThrowOnError guard;
     auto pkt = makePacket(0, 0, MemOp::Read, PacketKind::Data);
     for (unsigned i = 0; i < Packet::kMaxHops; ++i)
-        pkt->pushHop([](Packet& p) { p.complete(); });
-    EXPECT_THROW(pkt->pushHop([](Packet& p) { p.complete(); }), SimError);
+        pkt->pushHop([](PktPtr p) { complete(std::move(p)); });
+    EXPECT_THROW(pkt->pushHop([](PktPtr p) { complete(std::move(p)); }),
+                 SimError);
 }
 
 TEST(Packet, KindNamesArePrintable)
@@ -115,7 +153,7 @@ TEST(BankedMemory, ReadCompletesAfterLatency)
     Tick done_at = 0;
     auto pkt = dataRead(0);
     pkt->onDone = [&](Packet&) { done_at = sim.curTick(); };
-    mem.access(pkt, 0);
+    mem.access(std::move(pkt), 0);
     sim.run();
     EXPECT_EQ(done_at, 60 * kNanosecond);
 }
@@ -135,8 +173,8 @@ TEST(BankedMemory, WritesAreSlowerThanReads)
     auto wr = makePacket(0, 0, MemOp::Write, PacketKind::Data);
     wr->npa = NPAddr(kBlockSize); // different bank
     wr->onDone = [&](Packet&) { write_done = sim.curTick(); };
-    mem.access(rd, 0);
-    mem.access(wr, kBlockSize);
+    mem.access(std::move(rd), 0);
+    mem.access(std::move(wr), kBlockSize);
     sim.run();
     EXPECT_EQ(read_done, 60 * kNanosecond);
     EXPECT_EQ(write_done, 150 * kNanosecond);
@@ -157,8 +195,8 @@ TEST(BankedMemory, SameBankSerializes)
     a->onDone = [&](Packet&) { first = sim.curTick(); };
     auto b = dataRead(4 * kBlockSize); // (4*64/64) % 4 == 0: same bank
     b->onDone = [&](Packet&) { second = sim.curTick(); };
-    mem.access(a, 0);
-    mem.access(b, 4 * kBlockSize);
+    mem.access(std::move(a), 0);
+    mem.access(std::move(b), 4 * kBlockSize);
     sim.run();
     EXPECT_EQ(first, 100 * kNanosecond);
     EXPECT_EQ(second, 200 * kNanosecond);
@@ -178,8 +216,8 @@ TEST(BankedMemory, DifferentBanksProceedInParallel)
     a->onDone = [&](Packet&) { first = sim.curTick(); };
     auto b = dataRead(kBlockSize); // bank 1
     b->onDone = [&](Packet&) { second = sim.curTick(); };
-    mem.access(a, 0);
-    mem.access(b, kBlockSize);
+    mem.access(std::move(a), 0);
+    mem.access(std::move(b), kBlockSize);
     sim.run();
     EXPECT_EQ(first, 100 * kNanosecond);
     EXPECT_EQ(second, 100 * kNanosecond);
@@ -199,7 +237,7 @@ TEST(BankedMemory, OutstandingLimitQueuesExcess)
     for (int i = 0; i < 4; ++i) {
         auto pkt = dataRead(static_cast<std::uint64_t>(i) * kBlockSize);
         pkt->onDone = [&](Packet&) { ++completed; };
-        mem.access(pkt, static_cast<std::uint64_t>(i) * kBlockSize);
+        mem.access(std::move(pkt), static_cast<std::uint64_t>(i) * kBlockSize);
     }
     EXPECT_EQ(mem.inFlight(), 2u);
     sim.run();
@@ -230,7 +268,7 @@ TEST_F(CacheLevelTest, MissFillsThenHits)
     int completed = 0;
     auto miss = dataRead(0);
     miss->onDone = [&](Packet&) { ++completed; };
-    cache_.access(miss);
+    cache_.access(std::move(miss));
     sim_.run();
     EXPECT_EQ(completed, 1);
     EXPECT_EQ(stub_.accesses, 1u);
@@ -239,7 +277,7 @@ TEST_F(CacheLevelTest, MissFillsThenHits)
     Tick done_at = 0;
     hit->onDone = [&](Packet&) { done_at = sim_.curTick(); };
     Tick start = sim_.curTick();
-    cache_.access(hit);
+    cache_.access(std::move(hit));
     sim_.run();
     EXPECT_EQ(stub_.accesses, 1u); // no new fill
     EXPECT_EQ(done_at - start, 1 * kNanosecond);
@@ -272,7 +310,7 @@ TEST_F(CacheLevelTest, MshrMergesConcurrentMisses)
     for (int i = 0; i < 3; ++i) {
         auto pkt = dataRead(static_cast<std::uint64_t>(i) * 8);
         pkt->onDone = [&](Packet&) { ++completed; };
-        cache_.access(pkt);
+        cache_.access(std::move(pkt));
     }
     sim_.run();
     EXPECT_EQ(completed, 3);
@@ -287,14 +325,14 @@ TEST_F(CacheLevelTest, DirtyEvictionWritesBack)
     auto w = makePacket(0, 0, MemOp::Write, PacketKind::Data);
     w->npa = NPAddr(0);
     w->onDone = [](Packet&) {};
-    cache_.access(w);
+    cache_.access(std::move(w));
     sim_.run();
 
     std::uint64_t set_stride = 8 * kBlockSize; // 8 sets
     for (int i = 1; i <= 2; ++i) {
         auto pkt = dataRead(static_cast<std::uint64_t>(i) * set_stride);
         pkt->onDone = [](Packet&) {};
-        cache_.access(pkt);
+        cache_.access(std::move(pkt));
         sim_.run();
     }
     EXPECT_DOUBLE_EQ(sim_.stats().get("l1.writebacks"), 1.0);
@@ -308,13 +346,13 @@ TEST_F(CacheLevelTest, WritebackPacketsDoNotAllocate)
     wb->npa = NPAddr(0x4000);
     wb->writeback = true;
     wb->onDone = [](Packet&) {};
-    cache_.access(wb);
+    cache_.access(std::move(wb));
     sim_.run();
     // Forwarded to the stub, not filled into the cache.
     EXPECT_EQ(stub_.accesses, 1u);
     auto rd = dataRead(0x4000);
     rd->onDone = [](Packet&) {};
-    cache_.access(rd);
+    cache_.access(std::move(rd));
     sim_.run();
     EXPECT_EQ(stub_.accesses, 2u); // still a miss
 }
@@ -324,7 +362,7 @@ TEST_F(CacheLevelTest, FillInheritsRequestKind)
     auto pkt = makePacket(0, 0, MemOp::Read, PacketKind::NodePtw);
     pkt->npa = NPAddr(0x100);
     pkt->onDone = [](Packet&) {};
-    cache_.access(pkt);
+    cache_.access(std::move(pkt));
     sim_.run();
     ASSERT_EQ(stub_.kinds.size(), 1u);
     EXPECT_EQ(stub_.kinds[0], PacketKind::NodePtw);
@@ -334,12 +372,12 @@ TEST_F(CacheLevelTest, InvalidateAllForcesRefills)
 {
     auto pkt = dataRead(0);
     pkt->onDone = [](Packet&) {};
-    cache_.access(pkt);
+    cache_.access(std::move(pkt));
     sim_.run();
     cache_.invalidateAll();
     auto again = dataRead(0);
     again->onDone = [](Packet&) {};
-    cache_.access(again);
+    cache_.access(std::move(again));
     sim_.run();
     EXPECT_EQ(stub_.accesses, 2u);
 }

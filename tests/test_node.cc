@@ -210,7 +210,7 @@ TEST(MemController, SteersByZoneAndFamDirect)
     // Local-zone access -> DRAM.
     auto local = test::dataRead(0x1000);
     local->onDone = [](Packet&) {};
-    ctrl.access(local);
+    ctrl.access(std::move(local));
     sim.run();
     EXPECT_DOUBLE_EQ(sim.stats().get("dram.reads"), 1.0);
     EXPECT_EQ(fam_path.accesses, 0u);
@@ -218,7 +218,7 @@ TEST(MemController, SteersByZoneAndFamDirect)
     // FAM-zone access -> FAM path, untranslated.
     auto fam = test::dataRead(osp.localBytes + 0x2000);
     fam->onDone = [](Packet&) {};
-    ctrl.access(fam);
+    ctrl.access(std::move(fam));
     sim.run();
     EXPECT_EQ(fam_path.accesses, 1u);
 
@@ -232,7 +232,7 @@ TEST(MemController, SteersByZoneAndFamDirect)
         has_fam = p.hasFam;
         fam_addr = p.fam;
     };
-    ctrl.access(direct);
+    ctrl.access(std::move(direct));
     sim.run();
     EXPECT_EQ(fam_path.accesses, 2u);
     EXPECT_TRUE(has_fam);

@@ -353,12 +353,51 @@ TEST(FlatMap, MatchesUnorderedMapUnderRandomOps)
     EXPECT_EQ(seen, ref.size());
 }
 
+TEST(FlatMap, EraseKeepsWrappedProbeRunsReachable)
+{
+    // Dense keys at the load limit (up to 10 live in 16 slots, 43 in
+    // 64) make long probe runs that wrap past the table's last slot,
+    // so backward-shift erases move entries across the wrap. After
+    // every erase, every key must still be found and the iteration
+    // must hold exactly the live entries.
+    for (std::uint64_t range : {10u, 43u}) {
+        U64FlatMap<int> flat;
+        std::map<std::uint64_t, int> ref;
+        Rng rng(range);
+        for (int step = 0; step < 20000; ++step) {
+            std::uint64_t key = rng.below(range);
+            if (rng.below(4) != 0) { // mostly inserts: keep the load high
+                flat[key] = step;
+                ref[key] = step;
+                continue;
+            }
+            ASSERT_EQ(flat.erase(key), ref.erase(key)) << step;
+            for (std::uint64_t k = 0; k < range; ++k) {
+                auto it = flat.find(k);
+                auto rit = ref.find(k);
+                ASSERT_EQ(it == flat.end(), rit == ref.end())
+                    << "key " << k << " after step " << step;
+                if (rit != ref.end()) {
+                    ASSERT_EQ(it->second, rit->second) << step;
+                }
+            }
+            std::map<std::uint64_t, int> iterated;
+            for (const auto& [k, v] : flat)
+                ASSERT_TRUE(iterated.emplace(k, v).second) << k;
+            ASSERT_EQ(iterated, ref) << step;
+            ASSERT_EQ(flat.size(), ref.size()) << step;
+        }
+        // The table never grew past the load limit's capacity.
+        EXPECT_EQ(flat.capacity(), range == 10 ? 16u : 64u);
+    }
+}
+
 TEST(FlatMap, ChurnDoesNotGrowCapacityUnbounded)
 {
-    // Regression: tombstones counted toward the load factor and every
-    // rehash doubled, so MSHR-style insert/erase churn grew the table
-    // to O(total ops). In-place tombstone clearing must keep capacity
-    // proportional to the live entry count.
+    // Regression: tombstones once counted toward the load factor and
+    // every rehash doubled, so MSHR-style insert/erase churn grew the
+    // table to O(total ops). Capacity must stay proportional to the
+    // live entry count.
     U64FlatMap<int> map;
     for (std::uint64_t i = 0; i < 200000; ++i) {
         map[i] = 1;

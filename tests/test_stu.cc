@@ -177,7 +177,7 @@ TEST_F(StuTest, DeactVerifiedChecksAcmOnly)
     pkt->fam = FamAddr(fam_page * kPageSize);
     pkt->hasFam = true;
     pkt->verified = true; // as set by the FAM translator
-    stu_->handleFromNode(pkt);
+    stu_->handleFromNode(std::move(pkt));
     test::drain(sim_);
 
     EXPECT_EQ(completed_, 1);
@@ -196,7 +196,7 @@ TEST_F(StuTest, DeactAcmCacheHitSkipsFetch)
         pkt->fam = FamAddr(fam_page * kPageSize + 64u * i);
         pkt->hasFam = true;
         pkt->verified = true;
-        stu_->handleFromNode(pkt);
+        stu_->handleFromNode(std::move(pkt));
         test::drain(sim_);
     }
     EXPECT_EQ(completed_, 2);
@@ -217,7 +217,7 @@ TEST_F(StuTest, DeactUnverifiedWalksAndNotifiesTranslator)
 
     auto pkt = nodeRequest(0x800ull * kPageSize);
     pkt->verified = false;
-    stu_->handleFromNode(pkt);
+    stu_->handleFromNode(std::move(pkt));
     test::drain(sim_);
 
     EXPECT_EQ(completed_, 1);
@@ -238,7 +238,7 @@ TEST_F(StuTest, DeactVerifiedCannotBypassAccessControl)
     pkt->fam = FamAddr(foreign * kPageSize);
     pkt->hasFam = true;
     pkt->verified = true;
-    stu_->handleFromNode(pkt);
+    stu_->handleFromNode(std::move(pkt));
     test::drain(sim_);
     EXPECT_EQ(completed_, 1);
     EXPECT_FALSE(lastGranted_);
@@ -262,7 +262,7 @@ TEST_F(StuTest, DeactWCoversContiguousGroups)
         pkt->fam = FamAddr((group_base + offset) * kPageSize);
         pkt->hasFam = true;
         pkt->verified = true;
-        stu_->handleFromNode(pkt);
+        stu_->handleFromNode(std::move(pkt));
         test::drain(sim_);
     }
     EXPECT_EQ(completed_, 2);
@@ -279,7 +279,7 @@ TEST_F(StuTest, DeactNDoesNotCoverNeighbours)
         pkt->fam = FamAddr((400 + offset) * kPageSize);
         pkt->hasFam = true;
         pkt->verified = true;
-        stu_->handleFromNode(pkt);
+        stu_->handleFromNode(std::move(pkt));
         test::drain(sim_);
     }
     // Per-page pairs: each page needs its own fetch...
@@ -364,7 +364,7 @@ TEST_F(StuTest, SharedPageAllowsGrantedNodesOnly)
     // A node without a grant is denied even through a valid mapping.
     auto foreign = nodeRequest(0xC00ull * kPageSize);
     foreign->logicalNode = broker_->logicalIdOf(1);
-    stu_->handleFromNode(foreign);
+    stu_->handleFromNode(std::move(foreign));
     test::drain(sim_);
     EXPECT_FALSE(lastGranted_);
 }
@@ -386,13 +386,13 @@ TEST_F(StuTest, SharedPageEnforcesMixedPermissions)
 
     auto foreign_write = nodeRequest(0xD00ull * kPageSize, MemOp::Write);
     foreign_write->logicalNode = broker_->logicalIdOf(1);
-    stu_->handleFromNode(foreign_write);
+    stu_->handleFromNode(std::move(foreign_write));
     test::drain(sim_);
     EXPECT_FALSE(lastGranted_);
 
     auto foreign_read = nodeRequest(0xD00ull * kPageSize, MemOp::Read);
     foreign_read->logicalNode = broker_->logicalIdOf(1);
-    stu_->handleFromNode(foreign_read);
+    stu_->handleFromNode(std::move(foreign_read));
     test::drain(sim_);
     EXPECT_TRUE(lastGranted_);
 }

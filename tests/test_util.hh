@@ -31,7 +31,8 @@ class StubMemory : public MemSink
         lastAddr = pkt->npa.value();
         kinds.push_back(pkt->kind);
         sim_.events().scheduleAfter(
-            latency_, [pkt = std::move(pkt)] { pkt->complete(); });
+            latency_,
+            [pkt = std::move(pkt)]() mutable { complete(std::move(pkt)); });
     }
 
     std::uint64_t accesses = 0;
