@@ -81,8 +81,8 @@ CacheLevel::handleFill(std::uint64_t block_key)
 
     LineMeta meta;
     meta.kind = waiters.front()->kind;
-    waiters.forEach([&meta](const PktPtr& w) {
-        if (w->isWrite())
+    waiters.forEach([&meta](const Packet& w) {
+        if (w.isWrite())
             meta.dirty = true;
     });
 
@@ -101,7 +101,7 @@ CacheLevel::handleFill(std::uint64_t block_key)
         next_.access(std::move(wb));
     }
 
-    waiters.forEach([](PktPtr& w) { complete(std::move(w)); });
+    waiters.drain([](PktPtr w) { complete(std::move(w)); });
 }
 
 void

@@ -146,7 +146,7 @@ FamTranslator::onMapping(std::uint64_t npa_page, std::uint64_t fam_page)
                 return;
             PktWaiters waiters = std::move(it->second);
             pending_.erase(it);
-            waiters.forEach([this, fam_page](PktPtr& w) {
+            waiters.drain([this, fam_page](PktPtr w) {
                 w->fam = FamAddr(fam_page * kPageSize +
                                  w->npa.pageOffset());
                 w->hasFam = true;

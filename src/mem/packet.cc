@@ -52,8 +52,10 @@ recyclePacket(Packet* pkt) noexcept
     FAMSIM_CHECK_PACKET_POOL();
     // Clearing onDone first drops the handles its closure owns; those
     // may recycle further packets (the pool tolerates reentrant
-    // pushes). The remaining fields are reset in makePacket.
+    // pushes), as does dropping the waiter link of an MSHR list that
+    // never drained. The remaining fields are reset in makePacket.
     pkt->onDone = nullptr;
+    pkt->nextWaiter_.reset();
     if (!packetPoolAlive) {
         delete pkt;
         return;

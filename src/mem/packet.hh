@@ -18,7 +18,6 @@
 #include <new>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "sim/inline_function.hh"
 #include "sim/logging.hh"
@@ -238,6 +237,8 @@ struct Packet {
     }
 
   private:
+    friend class PktWaiters;
+
     /** One stacked completion hop: a thunk plus its plain capture. */
     struct Hop {
         static constexpr std::size_t kCaptureBytes = 24;
@@ -247,6 +248,14 @@ struct Packet {
     static_assert(sizeof(Hop) == 32, "a hop entry is 32 bytes");
 
     Hop hops_[kMaxHops];
+
+    friend void detail::recyclePacket(Packet* pkt) noexcept;
+
+    /**
+     * The waiter that arrived after this packet on the same MSHR, owned
+     * by this packet while both wait (PktWaiters). A recycle drops it.
+     */
+    PktPtr nextWaiter_;
 };
 
 inline void
@@ -265,9 +274,10 @@ complete(PktPtr pkt)
 
 /**
  * Packets waiting on one outstanding miss (an MSHR's waiter list), in
- * arrival order. The first waiter is held inline, so a miss nobody
- * merges into costs no heap block; only merged waiters spill into the
- * vector.
+ * arrival order. The list is chained through the packets themselves:
+ * each waiter owns the one that arrived after it, so a merge costs no
+ * heap block however deep the list grows. A list dropped before it
+ * drains releases its chain as its first packet recycles.
  */
 class PktWaiters
 {
@@ -275,29 +285,49 @@ class PktWaiters
     void
     push_back(PktPtr pkt)
     {
+        Packet* const pkt_raw = pkt.get();
         if (!first_)
             first_ = std::move(pkt);
         else
-            rest_.push_back(std::move(pkt));
+            last_->nextWaiter_ = std::move(pkt);
+        last_ = pkt_raw;
     }
 
     [[nodiscard]] bool empty() const { return !first_; }
     [[nodiscard]] const PktPtr& front() const { return first_; }
 
-    /** Call @p fn on each waiter's handle, in arrival order. */
+    /** Call @p fn on each waiter, in arrival order, leaving it queued. */
     template <typename F>
     void
-    forEach(F&& fn)
+    forEach(F&& fn) const
     {
-        if (first_)
-            fn(first_);
-        for (PktPtr& pkt : rest_)
-            fn(pkt);
+        for (const Packet* pkt = first_.get(); pkt;
+             pkt = pkt->nextWaiter_.get())
+            fn(*pkt);
+    }
+
+    /**
+     * Hand each waiter's handle to @p fn, in arrival order, unlinked
+     * from the list before @p fn sees it; the list ends empty.
+     */
+    template <typename F>
+    void
+    drain(F&& fn)
+    {
+        PktPtr pkt = std::move(first_);
+        last_ = nullptr;
+        while (pkt) {
+            PktPtr next = std::move(pkt->nextWaiter_);
+            fn(std::move(pkt));
+            pkt = std::move(next);
+        }
     }
 
   private:
     PktPtr first_;
-    std::vector<PktPtr> rest_;
+    /** The newest waiter, owned through the chain from first_; read
+     *  only while first_ is set. */
+    Packet* last_ = nullptr;
 };
 
 /** Take a packet from the pool, owned by the returned handle. */

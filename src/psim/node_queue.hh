@@ -1,8 +1,8 @@
 /**
  * @file
  * One partition of the parallel simulation kernel: a private
- * EventQueue (the pooled 4-ary heap from src/sim/event_queue.hh) plus
- * its barrier inbox.
+ * EventQueue (the timing wheel from src/sim/event_queue.hh) plus its
+ * barrier inbox.
  *
  * The inbox is written only between windows, by the coordinator
  * (arbitrated fabric deliveries, then global barrier ops' schedules,

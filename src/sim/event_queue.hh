@@ -7,15 +7,24 @@
  * fully deterministic for a given seed and configuration — a property the
  * test suite relies on.
  *
- * Implementation: a 4-ary min-heap of POD entries (tick, sequence,
- * slot index) over an arena of pooled callback slots. Callables are
- * constructed in place in a slot's inline small-buffer storage (heap
- * fallback only for captures larger than Slot::kInlineBytes) and slots
- * are recycled through a free list, so steady-state scheduling performs
- * no allocation at all — unlike the former std::priority_queue of
- * std::function entries, which allocated on every schedule() with a
- * fat capture. The 4-ary layout halves the tree depth of a binary heap
- * and keeps each sift-down's children in one cache line.
+ * Implementation: a timing wheel for the near future plus a 4-ary heap
+ * for the rest, over an arena of pooled callback slots.
+ *
+ * - The wheel has kBuckets buckets of kBucketWidth ticks and covers the
+ *   kHorizon ticks ahead of the current bucket. Each bucket is a list of
+ *   slot indices in (tick, insertion) order, so the common schedule is
+ *   an append at the tail. A two-level occupancy bitmap finds the next
+ *   non-empty bucket with two countr_zero calls.
+ * - An event past the horizon goes into the heap, keyed by (tick,
+ *   sequence). It stays there even once time catches up with it.
+ * - A pop takes the earlier of the wheel's head and the heap's top. On
+ *   a tick tie the heap's event was scheduled first (see enqueue), so
+ *   the order is exactly (tick, insertion sequence).
+ *
+ * Callables are constructed in place in a slot's 64-byte inline storage
+ * (a larger capture is a compile error), and slots are recycled through
+ * a free list, so steady-state scheduling performs no allocation. An
+ * event's key and list link live in a separate array beside the slots.
  */
 
 #ifndef FAMSIM_SIM_EVENT_QUEUE_HH
@@ -23,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -41,7 +51,17 @@ class EventQueue
     /** Sentinel limit for run(): execute until the queue drains. */
     static constexpr Tick kForever = kTickForever;
 
-    EventQueue() = default;
+    /** log2 of a wheel bucket's width in ticks. */
+    static constexpr unsigned kBucketBits = 8;
+    /** log2 of the number of wheel buckets. */
+    static constexpr unsigned kWheelBits = 12;
+    /** Ticks one wheel bucket spans. */
+    static constexpr Tick kBucketWidth = Tick{1} << kBucketBits;
+    /** Ticks the wheel covers, from the current bucket on (~1.05 µs). */
+    static constexpr Tick kHorizon = Tick{1}
+                                     << (kBucketBits + kWheelBits);
+
+    EventQueue();
     ~EventQueue() { destroyPending(); }
 
     // Slots hold type-erased callables in raw storage; copying them
@@ -60,6 +80,9 @@ class EventQueue
         using Fn = std::decay_t<F>;
         static_assert(std::is_invocable_r_v<void, Fn&>,
                       "event callback must be invocable as void()");
+        static_assert(sizeof(Fn) <= Slot::kInlineBytes &&
+                          alignof(Fn) <= alignof(std::max_align_t),
+                      "event capture exceeds Slot::storage");
         FAMSIM_CHECK_QUEUE(checkOwner_);
         FAMSIM_ASSERT(when >= now_, "event scheduled in the past: ", when,
                       " < ", now_);
@@ -68,28 +91,15 @@ class EventQueue
         std::uint32_t idx = allocSlot();
         Slot& slot = slots_[idx];
         try {
-            if constexpr (fitsInline<Fn>()) {
-                ::new (static_cast<void*>(slot.storage))
-                    Fn(std::forward<F>(cb));
-                slot.invoke = &invokeInline<Fn>;
-                slot.destroy = &destroyInline<Fn>;
-            } else {
-                slot.heapObj = new Fn(std::forward<F>(cb));
-                slot.invoke = &invokeHeap<Fn>;
-                slot.destroy = &destroyHeap<Fn>;
-            }
-            FAMSIM_ASSERT(seq_ < kMaxSeq, "event sequence space exhausted");
-            FAMSIM_ASSERT(idx <= kSlotMask, "event slot space exhausted");
-            pushHeap(HeapEntry{when, (seq_++ << kSlotBits) | idx});
+            ::new (static_cast<void*>(slot.storage))
+                Fn(std::forward<F>(cb));
         } catch (...) {
-            if (slot.destroy) {
-                slot.destroy(slot);
-                slot.destroy = nullptr;
-                slot.invoke = nullptr;
-            }
             freeList_.push_back(idx);
             throw;
         }
+        slot.invoke = &invokeSlot<Fn>;
+        slot.destroy = &destroySlot<Fn>;
+        enqueue(when, idx);
     }
 
     /** Schedule @p cb @p delta ticks after the current tick. */
@@ -117,11 +127,7 @@ class EventQueue
     [[nodiscard]] Tick curTick() const { return now_; }
 
     /** Tick of the earliest pending event (kForever when empty). */
-    [[nodiscard]] Tick
-    nextTick() const
-    {
-        return heap_.empty() ? kForever : heap_.front().when;
-    }
+    [[nodiscard]] Tick nextTick() const { return peek().when; }
 
     /**
      * Partition handle (src/psim/): stamped by the owning NodeQueue
@@ -150,17 +156,32 @@ class EventQueue
     }
 
     /** Number of pending events. */
-    [[nodiscard]] std::size_t size() const { return heap_.size(); }
+    [[nodiscard]] std::size_t size() const { return size_; }
 
-    [[nodiscard]] bool empty() const { return heap_.empty(); }
+    [[nodiscard]] bool empty() const { return size_ == 0; }
 
     /** Total events executed over the queue's lifetime. */
     [[nodiscard]] std::uint64_t executed() const { return executed_; }
+
+    /**
+     * Schedules that landed past the wheel's horizon, in the heap,
+     * over the queue's lifetime. Deterministic for a given run.
+     */
+    [[nodiscard]] std::uint64_t pastHorizon() const { return pastHorizon_; }
 
     /** Callback slots currently pooled (pending + recyclable). */
     [[nodiscard]] std::size_t pooledSlots() const { return slots_.size(); }
 
   private:
+    static constexpr std::uint32_t kBuckets = 1u << kWheelBits;
+    static constexpr std::uint32_t kBucketMask = kBuckets - 1;
+    static constexpr unsigned kWords = kBuckets / 64;
+    static_assert(kWords <= 64, "one summary word covers the bitmap");
+    /** End of a bucket list. */
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+    /** peek() result: the earliest event is the heap's top. */
+    static constexpr std::uint32_t kInHeap = kBuckets;
+
     /**
      * POD heap entry; the callable lives in slots_[slot & kSlotMask].
      * Sequence (upper 40 bits) and slot (lower 24) share one word so
@@ -179,25 +200,35 @@ class EventQueue
     static constexpr std::uint64_t kMaxSeq =
         ~std::uint64_t{0} >> kSlotBits;
 
-    /** One pooled callback: SBO storage plus invoke/destroy thunks. */
+    /** One pooled callback: inline storage plus invoke/destroy thunks. */
     struct Slot {
         static constexpr std::size_t kInlineBytes = 64;
 
         /** Move the callable out, recycle the slot, run it. */
         void (*invoke)(EventQueue&, std::uint32_t) = nullptr;
-        /** Destroy in place without calling (queue teardown). */
+        /** Destroy in place without calling; null once not pending. */
         void (*destroy)(Slot&) = nullptr;
-        void* heapObj = nullptr;
         alignas(std::max_align_t) unsigned char storage[kInlineBytes];
     };
 
-    template <typename Fn>
-    static constexpr bool
-    fitsInline()
-    {
-        return sizeof(Fn) <= Slot::kInlineBytes &&
-               alignof(Fn) <= alignof(std::max_align_t);
-    }
+    /** A wheel event's tick and the next slot of its bucket's list. */
+    struct Link {
+        Tick when;
+        std::uint32_t next;
+    };
+
+    /** First and last slot of a non-empty bucket's list. */
+    struct Bucket {
+        std::uint32_t head;
+        std::uint32_t tail;
+    };
+
+    /** Where the earliest pending event is, and its tick. */
+    struct Next {
+        Tick when;
+        /** Wheel bucket index, or kInHeap. */
+        std::uint32_t bucket;
+    };
 
     /**
      * Invoke thunks move the callable OUT of the slot onto the stack
@@ -208,7 +239,7 @@ class EventQueue
      */
     template <typename Fn>
     static void
-    invokeInline(EventQueue& q, std::uint32_t idx)
+    invokeSlot(EventQueue& q, std::uint32_t idx)
     {
         Fn* obj = std::launder(reinterpret_cast<Fn*>(
             q.slots_[idx].storage));
@@ -220,29 +251,9 @@ class EventQueue
 
     template <typename Fn>
     static void
-    destroyInline(Slot& slot)
+    destroySlot(Slot& slot)
     {
         std::launder(reinterpret_cast<Fn*>(slot.storage))->~Fn();
-    }
-
-    template <typename Fn>
-    static void
-    invokeHeap(EventQueue& q, std::uint32_t idx)
-    {
-        Fn* fn = static_cast<Fn*>(q.slots_[idx].heapObj);
-        q.freeList_.push_back(idx);
-        struct Reaper {
-            Fn* fn;
-            ~Reaper() { delete fn; }
-        } reaper{fn};
-        (*fn)();
-    }
-
-    template <typename Fn>
-    static void
-    destroyHeap(Slot& slot)
-    {
-        delete static_cast<Fn*>(slot.heapObj);
     }
 
     [[nodiscard]] std::uint32_t
@@ -253,8 +264,17 @@ class EventQueue
             freeList_.pop_back();
             return idx;
         }
+        FAMSIM_ASSERT(slots_.size() <= kSlotMask,
+                      "event slot space exhausted");
         slots_.emplace_back();
+        links_.emplace_back();
         return static_cast<std::uint32_t>(slots_.size() - 1);
+    }
+
+    [[nodiscard]] bool
+    occupied(std::uint32_t bucket) const
+    {
+        return (occupied_[bucket / 64] >> (bucket % 64)) & 1;
     }
 
     static bool
@@ -264,10 +284,24 @@ class EventQueue
                (a.when == b.when && a.seqSlot < b.seqSlot);
     }
 
+    /** File slot @p idx under @p when: the wheel, or past it the heap. */
+    void enqueue(Tick when, std::uint32_t idx);
+    void insertSorted(Bucket& bucket, std::uint32_t idx);
+    /** Index of the first non-empty bucket at or after the cursor. */
+    [[nodiscard]] std::uint32_t nextBucket() const;
+    [[nodiscard]] Next peek() const;
+    /** Take the event peek() returned off its structure and run it. */
+    void execute(Next next);
     void pushHeap(HeapEntry entry);
     void popHeap();
     void destroyPending();
 
+    /** Bucket heads and tails; read only where occupied_ is set. */
+    std::unique_ptr<Bucket[]> buckets_;
+    /** One bit per bucket: the bucket's list is non-empty. */
+    std::uint64_t occupied_[kWords] = {};
+    /** One bit per occupied_ word: the word is non-zero. */
+    std::uint64_t summary_ = 0;
     std::vector<HeapEntry> heap_;
     /**
      * Slot arena. A plain vector is safe because invoke thunks move
@@ -275,9 +309,13 @@ class EventQueue
      * while a callback (which may grow the arena) executes.
      */
     std::vector<Slot> slots_;
+    /** Per-slot wheel key and link, parallel to slots_. */
+    std::vector<Link> links_;
     std::vector<std::uint32_t> freeList_;
     Tick now_ = 0;
-    std::uint64_t seq_ = 0;
+    std::size_t size_ = 0;
+    /** Heap insertions so far; also the next heap entry's sequence. */
+    std::uint64_t pastHorizon_ = 0;
     std::uint64_t executed_ = 0;
     std::uint32_t id_ = 0;
 #if FAMSIM_CHECK

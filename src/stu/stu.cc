@@ -142,8 +142,8 @@ Stu::handleIFam(PktPtr pkt)
                           layout_.acmBlockForPage(fam_page), MemOp::Read,
                           PacketKind::Acm, [this, npa_page, fam_page] {
                 ifamCache_->insert(npa_page, IFamEntry{fam_page});
-                takeWalkWaiters(npa_page).forEach(
-                    [this, fam_page](PktPtr& w) {
+                takeWalkWaiters(npa_page).drain(
+                    [this, fam_page](PktPtr w) {
                         w->fam = FamAddr(fam_page * kPageSize +
                                          w->npa.pageOffset());
                         w->hasFam = true;
@@ -184,7 +184,7 @@ Stu::handleDeactUnverified(PktPtr pkt)
             // update the in-DRAM translation cache (step 5, Fig. 6).
             if (mappingListener_)
                 mappingListener_(npa_page, fam_page);
-            takeWalkWaiters(npa_page).forEach([this, fam_page](PktPtr& w) {
+            takeWalkWaiters(npa_page).drain([this, fam_page](PktPtr w) {
                 w->fam = FamAddr(fam_page * kPageSize +
                                  w->npa.pageOffset());
                 w->hasFam = true;

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -123,28 +124,6 @@ TEST(EventQueue, ExecutedCountsAllEvents)
     EXPECT_EQ(q.executed(), 10u);
 }
 
-TEST(EventQueue, LargeCapturesUseHeapFallbackAndStillRun)
-{
-    // Captures bigger than the slot's inline buffer must round-trip
-    // through the heap path with the payload intact.
-    EventQueue q;
-    struct Big {
-        std::uint64_t data[32];
-    } big{};
-    for (std::uint64_t i = 0; i < 32; ++i)
-        big.data[i] = i * 3 + 1;
-    std::uint64_t sum = 0;
-    q.schedule(1, [big, &sum] {
-        for (std::uint64_t v : big.data)
-            sum += v;
-    });
-    q.run();
-    std::uint64_t want = 0;
-    for (std::uint64_t v : big.data)
-        want += v;
-    EXPECT_EQ(sum, want);
-}
-
 TEST(EventQueue, SlotPoolIsRecycledNotGrown)
 {
     // Steady-state churn must reuse slots via the free list instead of
@@ -165,8 +144,10 @@ TEST(EventQueue, SlotPoolIsRecycledNotGrown)
 TEST(EventQueue, RandomizedOrderMatchesStableSortReference)
 {
     // Property: execution order over a random schedule equals a stable
-    // sort of (tick, insertion index) — the 4-ary heap and packed
-    // sequence/slot word must never reorder ties.
+    // sort of (tick, insertion index). Every tick falls in one wheel
+    // bucket, so most inserts land before its tail and the sorted insert
+    // must never reorder ties. WheelEdgesMatchStableSortReference
+    // covers the heap and the wheel's edges.
     Rng rng(2024);
     EventQueue q;
     std::vector<std::pair<Tick, int>> ref;
@@ -186,6 +167,192 @@ TEST(EventQueue, RandomizedOrderMatchesStableSortReference)
     ASSERT_EQ(executed.size(), ref.size());
     for (std::size_t i = 0; i < ref.size(); ++i)
         EXPECT_EQ(executed[i], ref[i].second) << "position " << i;
+}
+
+/**
+ * Random traffic over the wheel's edges, checked against a reference:
+ * the set of pending (tick, insertion id) pairs. Each event schedules
+ * up to two more as it runs, so time keeps moving, until a fixed
+ * budget of schedules is spent.
+ */
+class WheelTraffic
+{
+  public:
+    static constexpr Tick kH = EventQueue::kHorizon;
+    static constexpr Tick kW = EventQueue::kBucketWidth;
+
+    EventQueue q;
+    std::set<std::pair<Tick, int>> pending;
+    /** Every schedule in insertion order, and every event as it ran. */
+    std::vector<std::pair<Tick, int>> scheduled;
+    std::vector<int> ran;
+    /** Same-tick pairs where a heap event ran just before a wheel one. */
+    int heapThenWheelTies = 0;
+
+    /** Schedule one event @p delta ticks ahead, unless out of budget. */
+    void
+    spawn(Tick delta)
+    {
+        if (budget_ == 0)
+            return;
+        --budget_;
+        const Tick when = q.curTick() + delta;
+        const int id = static_cast<int>(scheduled.size());
+        const std::uint64_t heap_before = q.pastHorizon();
+        q.schedule(when, Fire{this, when, id});
+        inHeap_.push_back(q.pastHorizon() != heap_before);
+        scheduled.emplace_back(when, id);
+        pending.emplace(when, id);
+    }
+
+    /** A uniform draw below @p bound (< 2^32). */
+    Tick
+    below(Tick bound)
+    {
+        return rng_.below(static_cast<std::uint32_t>(bound));
+    }
+
+    /** A delta from one of the wheel's edge classes. */
+    Tick
+    delta()
+    {
+        switch (rng_.below(8)) {
+          case 0: return 0;                          // same tick
+          case 1: return below(kW);                  // same bucket
+          case 2: return 250 * below(64);            // the sim's grid
+          case 3: return below(kH);                  // anywhere
+          case 4: return kH - kW + below(2 * kW);    // the edge
+          case 5: return below(4 * kH);              // past it
+          default: break;
+        }
+        // One of the latest far targets: scheduled past the horizon
+        // first, then again from inside it once time has caught up.
+        const Tick now = q.curTick();
+        if (targets_.empty() || targets_.back() < now || below(8) == 0)
+            targets_.push_back(now + kH + kW + below(2 * kH));
+        const std::size_t recent = std::min<std::size_t>(targets_.size(), 4);
+        const Tick target = targets_[targets_.size() - 1 - below(recent)];
+        return target >= now ? target - now : 0;
+    }
+
+    void
+    fire(Tick when, int id)
+    {
+        ASSERT_FALSE(pending.empty());
+        EXPECT_EQ(*pending.begin(), std::make_pair(when, id));
+        EXPECT_EQ(q.curTick(), when);
+        pending.erase(std::make_pair(when, id));
+        const bool in_heap = inHeap_[static_cast<std::size_t>(id)];
+        if (!ran.empty() && lastTick_ == when && lastInHeap_ && !in_heap)
+            ++heapThenWheelTies;
+        lastTick_ = when;
+        lastInHeap_ = in_heap;
+        ran.push_back(id);
+        const Tick children = below(4) == 0 ? 0 : 1 + (below(3) == 0);
+        for (Tick c = 0; c < children; ++c)
+            spawn(delta());
+    }
+
+    /** nextTick() and size() agree with the reference. */
+    void
+    check() const
+    {
+        EXPECT_EQ(q.size(), pending.size());
+        EXPECT_EQ(q.nextTick(), pending.empty() ? EventQueue::kForever
+                                                : pending.begin()->first);
+    }
+
+    [[nodiscard]] bool exhausted() const { return budget_ == 0; }
+
+  private:
+    struct Fire {
+        WheelTraffic* traffic;
+        Tick when;
+        int id;
+        void operator()() const { traffic->fire(when, id); }
+    };
+
+    Rng rng_{2025};
+    int budget_ = 40000;
+    std::vector<Tick> targets_;
+    std::vector<bool> inHeap_;
+    Tick lastTick_ = 0;
+    bool lastInHeap_ = false;
+};
+
+TEST(EventQueue, WheelEdgesMatchStableSortReference)
+{
+    // Deltas from 0 to several horizons, same-tick ties split between
+    // the heap and the wheel, and bounded runs that jump more than a
+    // horizon so the cursor wraps; nextTick() and size() are checked
+    // after every step.
+    WheelTraffic d;
+    for (int i = 0; i < 64; ++i)
+        d.spawn(d.delta());
+    d.check();
+    int long_jumps = 0;
+    while (!d.pending.empty() || !d.exhausted()) {
+        const Tick now = d.q.curTick();
+        const Tick action = d.below(10);
+        if (action < 2) {
+            // Bounded run; one in four jumps past a whole horizon.
+            const Tick jump = d.below(4) == 0
+                                  ? WheelTraffic::kH +
+                                        d.below(3 * WheelTraffic::kH)
+                                  : d.below(WheelTraffic::kH);
+            const std::size_t before = d.ran.size();
+            d.q.run(now + jump);
+            EXPECT_EQ(d.q.curTick(), now + jump);
+            if (!d.pending.empty()) {
+                EXPECT_GT(d.pending.begin()->first, now + jump);
+            }
+            if (jump >= WheelTraffic::kH && d.ran.size() > before)
+                ++long_jumps;
+        } else if (action == 2 || d.pending.empty()) {
+            d.spawn(d.delta());
+        } else {
+            EXPECT_TRUE(d.q.runOne());
+        }
+        d.check();
+        if (::testing::Test::HasFailure())
+            break;
+    }
+
+    std::vector<std::pair<Tick, int>> ref = d.scheduled;
+    std::stable_sort(ref.begin(), ref.end(),
+                     [](const auto& a, const auto& b) {
+                         return a.first < b.first;
+                     });
+    ASSERT_EQ(d.ran.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i)
+        ASSERT_EQ(d.ran[i], ref[i].second) << "position " << i;
+    // Every edge was actually exercised.
+    EXPECT_GT(d.q.pastHorizon(), 100u);
+    EXPECT_LT(d.q.pastHorizon(), d.scheduled.size());
+    EXPECT_GT(d.heapThenWheelTies, 0);
+    EXPECT_GT(long_jumps, 0);
+}
+
+TEST(EventQueue, TeardownDestroysEventsPendingInWheelAndHeap)
+{
+    // Captures own memory, so a missed destroy is a leak the ASan job
+    // reports; the shared count shows it in every build.
+    auto alive = std::make_shared<int>(0);
+    {
+        EventQueue q;
+        for (Tick t : {Tick{0}, Tick{7}, Tick{300},
+                       EventQueue::kHorizon - 1, 2 * EventQueue::kHorizon,
+                       5 * EventQueue::kHorizon}) {
+            q.schedule(t, [token = alive, p = std::make_unique<int>(1)] {
+                (void)token;
+            });
+        }
+        EXPECT_EQ(q.pastHorizon(), 2u);
+        EXPECT_TRUE(q.runOne());
+        EXPECT_EQ(q.size(), 5u);
+        EXPECT_EQ(alive.use_count(), 6);
+    }
+    EXPECT_EQ(alive.use_count(), 1);
 }
 
 TEST(EventQueue, MoveOnlyCallablesAreAccepted)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -130,6 +131,41 @@ TEST(Packet, PushingPastMaxHopsPanics)
         pkt->pushHop([](PktPtr p) { complete(std::move(p)); });
     EXPECT_THROW(pkt->pushHop([](PktPtr p) { complete(std::move(p)); }),
                  SimError);
+}
+
+TEST(Packet, WaitersKeepArrivalOrderAndReleaseAnUndrainedChain)
+{
+    // Merged waiters chain through their packets: forEach reads them in
+    // arrival order, drain hands each handle on in that order, and a
+    // list dropped before it drains recycles every packet in its chain
+    // (their completions' captures die with them).
+    auto token = std::make_shared<int>(0);
+    std::vector<CoreId> seen;
+    {
+        PktWaiters waiters;
+        for (CoreId c = 0; c < 4; ++c) {
+            PktPtr pkt = makePacket(0, c, MemOp::Read, PacketKind::Data);
+            pkt->onDone = [token](Packet&) {};
+            waiters.push_back(std::move(pkt));
+        }
+        EXPECT_EQ(token.use_count(), 5);
+        EXPECT_EQ(waiters.front()->core, 0u);
+        waiters.forEach([&seen](const Packet& p) { seen.push_back(p.core); });
+        EXPECT_EQ(seen, (std::vector<CoreId>{0, 1, 2, 3}));
+        seen.clear();
+        waiters.drain([&seen](PktPtr p) { seen.push_back(p->core); });
+        EXPECT_EQ(seen, (std::vector<CoreId>{0, 1, 2, 3}));
+        EXPECT_TRUE(waiters.empty());
+        EXPECT_EQ(token.use_count(), 1);
+
+        for (CoreId c = 0; c < 3; ++c) {
+            PktPtr pkt = makePacket(0, c, MemOp::Read, PacketKind::Data);
+            pkt->onDone = [token](Packet&) {};
+            waiters.push_back(std::move(pkt));
+        }
+        EXPECT_EQ(token.use_count(), 4);
+    }
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(Packet, KindNamesArePrintable)
