@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 
 #include "psim/parallel_sim.hh"
 #include "sim/check.hh"
@@ -129,9 +130,6 @@ SystemConfig::finalize()
     // FAM capacity and module count scale with the node count (§V-D4:
     // memory pools proportional to nodes).
     fam.modules = nodes;
-    // Media partitions sit after the node partitions in the psim
-    // layout; the base feeds the FAMSIM_CHECK per-module owner stamps.
-    fam.partitionBase = nodes;
     fam.capacityBytes = std::uint64_t{16} << 30;
     fam.capacityBytes *= nodes;
 
@@ -171,22 +169,23 @@ System::System(SystemConfig config) : config_(std::move(config)),
             config_.tenancy.jobs);
     }
 
+    // One partition per node, one per FAM media module, the broker
+    // last: psim's queues, the ownership stamps and the trace lanes.
+    sim_.setPartitions(PartitionLayout(config_.nodes, config_.fam.modules));
     layout_ = std::make_unique<FamLayout>(config_.fam.capacityBytes,
                                           config_.stu.acmBits,
                                           config_.broker.sharedReserveBytes);
     acm_ = std::make_unique<AcmStore>(config_.stu.acmBits);
     media_ = std::make_unique<FamMedia>(sim_, "fam", config_.fam);
-    // Media trace lanes sit after the node lanes (psim partition order).
-    media_->setTraceLaneBase(config_.nodes);
     fabric_ = std::make_unique<FabricLink>(sim_, "fabric",
                                            config_.fabric);
     {
-        // The broker's stats belong to the broker partition (last in
-        // the psim layout); in parallel runs they are only bumped by
-        // barrier ops, which the checker's Barrier phase permits. The
-        // fabric stays unstamped: its counters are bumped from the
-        // coordinator's arbitration sections in both kernels.
-        check::WiringScope wire(config_.nodes + config_.fam.modules);
+        // The broker's stats belong to the broker partition; in
+        // parallel runs they are only bumped by barrier ops, which the
+        // checker's Barrier phase permits. The fabric stays unstamped:
+        // its counters are bumped from the coordinator's arbitration
+        // sections in both kernels.
+        check::WiringScope wire(sim_.partitions().broker());
         broker_ = std::make_unique<MemoryBroker>(sim_, "broker",
                                                  config_.broker, *layout_,
                                                  *acm_, media_.get());
@@ -205,9 +204,9 @@ System::System(SystemConfig config) : config_(std::move(config)),
 void
 System::buildNode(unsigned index)
 {
-    // Everything registered while building node N is owned by psim
-    // partition N (the node partitions are [0, nodes)).
-    check::WiringScope wire(static_cast<std::uint32_t>(index));
+    // Everything registered while building node N is owned by its
+    // partition.
+    check::WiringScope wire(sim_.partitions().node(index));
     NodeParts* node = nodes_.emplace_back(std::make_unique<NodeParts>()).get();
     auto nid = static_cast<NodeId>(index);
     std::string prefix = "node" + std::to_string(index);
@@ -338,13 +337,12 @@ System::attachTrace(TraceSink* trace)
         FAMSIM_ASSERT(trace->lanes() == traceLanes(),
                       "trace sink has ", trace->lanes(),
                       " lanes; this system needs ", traceLanes());
-        for (unsigned n = 0; n < config_.nodes; ++n)
-            trace->setLaneName(n, "node" + std::to_string(n));
-        for (unsigned m = 0; m < media_->numModules(); ++m) {
-            trace->setLaneName(config_.nodes + m,
-                               "media" + std::to_string(m));
-        }
-        trace->setLaneName(traceLanes() - 1, "broker");
+        const PartitionLayout& layout = sim_.partitions();
+        for (unsigned n = 0; n < layout.nodes(); ++n)
+            trace->setLaneName(layout.node(n), "node" + std::to_string(n));
+        for (unsigned m = 0; m < layout.mediaModules(); ++m)
+            trace->setLaneName(layout.media(m), "media" + std::to_string(m));
+        trace->setLaneName(layout.broker(), "broker");
     }
     sim_.setTrace(trace);
 }
@@ -352,11 +350,9 @@ System::attachTrace(TraceSink* trace)
 std::uint32_t
 System::traceLanes() const
 {
-    // The psim partition layout: nodes, media modules, broker. The
-    // serial kernel emits on the same lane ids, so one sink layout
-    // serves both.
-    return config_.nodes + static_cast<std::uint32_t>(
-                               media_->numModules()) + 1;
+    // One lane per partition; the serial kernel emits on the same lane
+    // ids, so one sink layout serves both.
+    return sim_.partitions().count();
 }
 
 void
@@ -368,59 +364,93 @@ System::attachProfiler(Profiler* profiler)
 void
 System::run(unsigned threads)
 {
+    FAMSIM_ASSERT(sim_.serialEvents().empty(),
+                  "serial queue not empty at run start");
+    Profiler::Timer wall;
+    // The kernel choice. Everything below runs unchanged on either:
+    // components reach other partitions only through Simulation's seam
+    // (send, deliver, atBarrier), whose psim halves this binds.
+    std::optional<ParallelSim> psim;
+    if (threads > 0) {
+        if (config_.arch == ArchKind::EFam && !config_.prefault)
+            FAMSIM_FATAL("parallel E-FAM runs require prefaulting: "
+                         "runtime OS faults call the broker "
+                         "synchronously across partitions");
+        // The per-edge lookahead floors (both positive, see finalize):
+        // node<->STU traffic stays inside a node partition; what
+        // crosses is fabric request/response traffic (one way >=
+        // fabric.latency, the node<->media edge) and system-level fault
+        // service at the broker (>= serviceLatency, every edge touching
+        // the broker).
+        psim.emplace(sim_,
+                     ParallelSim::Topology{config_.fabric.latency,
+                                           config_.broker.serviceLatency},
+                     threads);
+    }
+
+    // Warmup: when core 0 of node 0 crosses the warmup mark, reset all
+    // statistics and open every core's measurement window, as a
+    // barrier op: in place on the serial kernel, at a window boundary
+    // (deterministic for any thread count) under psim.
+    Core& lead = *nodes_[0]->cores[0].core;
+    if (config_.warmupFraction > 0.0) {
+        lead.addPhaseCallback(warmupInstructions(), [this] {
+            sim_.atBarrier(sim_.curTick(), [this] {
+                sim_.stats().resetAll();
+                for (auto& node : nodes_) {
+                    for (auto& core : node->cores)
+                        core.core->markWindow();
+                }
+            });
+        });
+    }
+    // Scheduled migrations mutate state read lock-free from every
+    // partition (ACM map, FAM tables, STU caches), so they run as
+    // barrier ops, mid-run, with every node's traffic in flight. The
+    // one difference between the two kernels' schedules is their due
+    // tick: the serial kernel migrates at the threshold itself; psim
+    // one broker service latency later, the node->broker lookahead
+    // floor, which lets the op schedule its ACM rewrite traffic at the
+    // due tick.
+    const Tick migration_delay = psim ? config_.broker.serviceLatency : 0;
+    for (const MigrationEvent& ev : config_.migrations) {
+        lead.addPhaseCallback(ev.atInstruction, [this, ev, migration_delay] {
+            const Tick due = sim_.curTick() + migration_delay;
+            sim_.atBarrier(due,
+                           [this, ev, due] { executeMigration(ev, due); });
+        });
+    }
+
+    std::atomic<unsigned> finished{0};
+    for (unsigned n = 0; n < config_.nodes; ++n) {
+        sim_.withPartition(sim_.partitions().node(n), [&] {
+            for (auto& core : nodes_[n]->cores) {
+                core.core->start([&finished] {
+                    finished.fetch_add(1, std::memory_order_relaxed);
+                });
+            }
+        });
+    }
+    sim_.run(); // drains every queue (and psim's inboxes and barrier ops)
+
     // Cadence telemetry belongs to one run; a serial run reports zero
     // windows.
-    parallelWindows_ = 0;
-    parallelPoolEpochs_ = 0;
-    Profiler::Timer wall;
-    if (threads > 0)
-        runParallel(threads);
-    else
-        runSerial();
+    parallelWindows_ = psim ? psim->epoch() : 0;
+    parallelPoolEpochs_ = psim ? psim->poolEpochs() : 0;
+    psim.reset();
+    const unsigned total = config_.nodes * config_.coresPerNode;
+    const unsigned done = finished.load(std::memory_order_relaxed);
+    if (done < total)
+        FAMSIM_PANIC("event queues drained with ", total - done,
+                     " cores still running (deadlock)");
+    FAMSIM_ASSERT(sim_.serialEvents().empty(),
+                  "event leaked onto the serial queue during a parallel "
+                  "run");
     if (Profiler* prof = sim_.profiler()) {
         prof->setThreads(threads);
         prof->setWall(wall.seconds());
         prof->setWindows(parallelWindows_);
     }
-}
-
-void
-System::runSerial()
-{
-    finished_ = 0;
-    unsigned total = config_.nodes * config_.coresPerNode;
-
-    // Warmup handling: when core 0 of node 0 crosses the warmup mark,
-    // reset all statistics and open every core's measurement window.
-    Core& lead = *nodes_[0]->cores[0].core;
-    if (config_.warmupFraction > 0.0) {
-        lead.addPhaseCallback(warmupInstructions(), [this] {
-            sim_.stats().resetAll();
-            for (auto& node : nodes_) {
-                for (auto& core : node->cores)
-                    core.core->markWindow();
-            }
-        });
-    }
-    // Scheduled migrations fire inline at the lead core's thresholds —
-    // mid-run, with every node's traffic in flight.
-    for (const MigrationEvent& ev : config_.migrations) {
-        lead.addPhaseCallback(ev.atInstruction,
-                              [this, ev] { executeMigration(ev, 0); });
-    }
-
-    for (auto& node : nodes_) {
-        for (auto& core : node->cores)
-            core.core->start([this] { ++finished_; });
-    }
-
-    while (finished_ < total) {
-        if (!sim_.events().runOne())
-            FAMSIM_PANIC("event queue drained with ", total - finished_,
-                         " cores still running (deadlock)");
-    }
-    // Drain remaining in-flight events (responses, writebacks).
-    sim_.run();
 }
 
 void
@@ -443,86 +473,6 @@ System::warmupInstructions() const
     return static_cast<std::uint64_t>(
         config_.warmupFraction *
         static_cast<double>(config_.core.instructionLimit));
-}
-
-void
-System::runParallel(unsigned threads)
-{
-    if (config_.arch == ArchKind::EFam && !config_.prefault)
-        FAMSIM_FATAL("parallel E-FAM runs require prefaulting: runtime "
-                     "OS faults call the broker synchronously across "
-                     "partitions");
-    FAMSIM_ASSERT(sim_.serialEvents().empty(),
-                  "serial queue not empty at parallel start");
-
-    unsigned total = config_.nodes * config_.coresPerNode;
-    // Sharded partitioning: one partition per node, one per FAM media
-    // module (each with its own pooled queue and barrier inbox), one
-    // for the broker — the media/broker work that used to serialize on
-    // a single fabric/FAM partition now scales with the module count.
-    ParallelSim::Topology topo;
-    topo.nodes = config_.nodes;
-    topo.mediaModules = media_->numModules();
-    // The per-edge lookahead floors (both positive, see finalize):
-    // node<->STU traffic stays inside a node partition; what crosses
-    // is fabric request/response traffic (one way >= fabric.latency,
-    // the node<->media edge) and system-level fault service at the
-    // broker (>= serviceLatency, every edge touching the broker).
-    topo.fabricLookahead = config_.fabric.latency;
-    topo.brokerLookahead = config_.broker.serviceLatency;
-    ParallelSim psim(sim_, topo, threads);
-
-    // Warmup: the lead core requests a global barrier op, so the stats
-    // reset and window marks happen at a window boundary — a
-    // deterministic, thread-count-independent point — instead of
-    // mid-window while other partitions are running.
-    Core& lead = *nodes_[0]->cores[0].core;
-    if (config_.warmupFraction > 0.0) {
-        lead.addPhaseCallback(warmupInstructions(), [this, &psim] {
-            psim.postGlobal(sim_.curTick(), [this] {
-                sim_.stats().resetAll();
-                for (auto& node : nodes_) {
-                    for (auto& core : node->cores)
-                        core.core->markWindow();
-                }
-            });
-        });
-    }
-    // Scheduled migrations mutate state read lock-free from every
-    // partition (ACM map, FAM tables, STU caches), so they run as
-    // global barrier ops. The broker service latency matches the
-    // node->broker lookahead floor, making the due tick conservative;
-    // the op may then schedule its ACM rewrite traffic at that tick.
-    for (const MigrationEvent& ev : config_.migrations) {
-        lead.addPhaseCallback(ev.atInstruction, [this, &psim, ev] {
-            Tick due = sim_.curTick() + config_.broker.serviceLatency;
-            psim.postGlobal(
-                due, [this, ev, due] { executeMigration(ev, due); });
-        });
-    }
-
-    std::atomic<unsigned> finished{0};
-    for (unsigned n = 0; n < config_.nodes; ++n) {
-        psim.withPartition(n, [&] {
-            for (auto& core : nodes_[n]->cores) {
-                core.core->start([&finished] {
-                    finished.fetch_add(1, std::memory_order_relaxed);
-                });
-            }
-        });
-    }
-
-    psim.run(); // drains every queue, inbox and barrier op
-    parallelWindows_ = psim.epoch();
-    parallelPoolEpochs_ = psim.poolEpochs();
-
-    unsigned done = finished.load(std::memory_order_relaxed);
-    if (done < total)
-        FAMSIM_PANIC("parallel kernel drained with ", total - done,
-                     " cores still running (deadlock)");
-    FAMSIM_ASSERT(sim_.serialEvents().empty(),
-                  "event leaked onto the serial queue during a parallel "
-                  "run");
 }
 
 double

@@ -188,19 +188,26 @@ class System
     explicit System(SystemConfig config);
 
     /**
-     * Run every core to its instruction limit (with warmup).
+     * Run every core to its instruction limit (with warmup). One code
+     * path wires both kernels: components reach other partitions only
+     * through Simulation's seam (send, deliver, atBarrier), and the
+     * warmup reset and scheduled migrations are barrier ops.
      *
-     * @param threads 0 (default) runs the original serial event loop —
-     *        the golden-pinned reference path. 1 or more runs the
-     *        conservative-window parallel kernel (src/psim/): one
-     *        partition per node, one per FAM media module, and one for
-     *        the broker, synchronized through a per-edge lookahead
-     *        matrix (node<->media edges at the fabric latency, broker
-     *        edges at the fault service latency), in fixed windows
-     *        one smallest edge wide. Results are byte-identical across
+     * @param threads 0 (default) runs the serial event loop — the
+     *        golden-pinned reference path. 1 or more binds the
+     *        conservative-window parallel kernel (src/psim/) over the
+     *        Simulation's partition layout (one partition per node,
+     *        one per FAM media module, one for the broker),
+     *        synchronized through a per-edge lookahead matrix
+     *        (node<->media edges at the fabric latency, broker edges
+     *        at the fault service latency) in fixed windows one
+     *        smallest edge wide. Results are byte-identical across
      *        thread counts >= 1 (the kernel's schedule is
      *        deterministic) but intentionally not identical to the
-     *        serial schedule — see DESIGN.md "Parallel kernel".
+     *        serial schedule: same-tick cross-partition ties and
+     *        barrier ops quantize differently, and a migration is due
+     *        one broker service latency after its threshold instead of
+     *        at it — see DESIGN.md "Parallel kernel".
      */
     void run(unsigned threads = 0);
 
@@ -273,12 +280,10 @@ class System
   private:
     void buildNode(unsigned index);
     void prefaultNode(unsigned index);
-    void runSerial();
-    void runParallel(unsigned threads);
     /**
-     * Run one scheduled migration: rebind at the broker, then refresh
-     * every core's cached logical id. @p emit_at is the global barrier
-     * op's due tick under the parallel kernel, 0 on the serial path.
+     * Run one scheduled migration (a barrier op due at @p emit_at):
+     * rebind at the broker, then refresh every core's cached logical
+     * id.
      */
     void executeMigration(const MigrationEvent& event, Tick emit_at);
     [[nodiscard]] std::uint64_t warmupInstructions() const;
@@ -296,7 +301,6 @@ class System
     /** Per-job issued-ops table (registered when tenancy.jobs > 1). */
     JobStatTable* jobOps_ = nullptr;
 
-    unsigned finished_ = 0;
     std::uint64_t parallelWindows_ = 0;
     std::uint64_t parallelPoolEpochs_ = 0;
 };

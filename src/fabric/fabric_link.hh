@@ -8,21 +8,17 @@
  * per-packet serialization time that produces contention when several
  * nodes share the fabric (Fig. 16).
  *
- * The fabric is also the parallel kernel's partition boundary
- * (src/psim/): requests travel from a node partition to the partition
- * of the FAM media module that owns the target address, and responses
- * back, each with at least the one-way latency — the node<->media
- * edge of the kernel's lookahead matrix. Under a bound ParallelSim,
- * both channels' serialization state spans every media partition, so
- * *all* sends become arbitrated posts: the kernel merges them in
- * deterministic (sendTick, srcPartition, seq) order and, at the window
- * barrier, single-threaded, calls this link's Arbiter::arbitrate with
- * the sender's tick. That accounts the packet on its channel
- * (channelFree, packets, queueing_ns) and returns the delivery tick;
- * the kernel queues the continuation in the destination partition's
- * inbox, and the destination's own worker schedules it. Serial mode
- * (no ParallelSim bound) is exactly the original single-queue
- * behavior.
+ * The fabric is also a partition boundary: requests travel from a
+ * node partition to the partition of the FAM media module that owns
+ * the target address, and responses back, each with at least the
+ * one-way latency (the node<->media edge of psim's lookahead matrix).
+ * Every transmission is one Simulation::send with this link as the
+ * Arbiter: arbitrate() accounts the packet on its channel
+ * (channelFree, packets, queueing_ns) and returns the delivery tick.
+ * The serial kernel calls it at the send; psim calls it at the next
+ * window barrier, single-threaded, with the sender's tick, because
+ * both channels' serialization state spans every media partition. The
+ * link never asks which kernel runs it.
  */
 
 #ifndef FAMSIM_FABRIC_FABRIC_LINK_HH
@@ -33,7 +29,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "psim/mailbox.hh" // leaf header: Arbiter and DeliverFn only
 #include "sim/simulation.hh"
 
 namespace famsim {
@@ -47,7 +42,7 @@ struct FabricParams {
 };
 
 /** A shared, full-duplex fabric channel. */
-class FabricLink : public Component, public Arbiter
+class FabricLink final : public Component, public Arbiter
 {
   public:
     /** Direction of travel on the link. */
@@ -58,47 +53,41 @@ class FabricLink : public Component, public Arbiter
 
     /**
      * Transmit one request-packet-worth of data toward FAM media
-     * module @p dst_module (the parallel kernel partition to deliver
-     * into; ignored on the serial path); @p deliver runs when it
-     * reaches the far end. Queueing delay due to serialization is
-     * applied before propagation. Templated so big completion captures
-     * go straight into the event queue's pooled slots instead of
-     * through a type-erasing indirection on the serial path.
+     * module @p dst_module; @p deliver runs on the module's partition
+     * when it reaches the far end. Queueing delay due to serialization
+     * is applied before propagation. Templated so big completion
+     * captures go straight into the event queue's pooled slots; like
+     * responses, they must fit the mailbox payload (DeliverFn) or the
+     * send does not compile.
      */
     template <typename F>
     void
     sendRequest(unsigned dst_module, F&& deliver)
     {
         checkDeliver(deliver);
-        if (!sim_.parallel()) {
-            sim_.events().schedule(departure(Request),
-                                   std::forward<F>(deliver));
-            return;
-        }
-        postRequestParallel(dst_module,
-                            makeDelivery(std::forward<F>(deliver)));
+        sim_.send(*this, Request, sim_.partitions().media(dst_module),
+                  std::forward<F>(deliver));
     }
 
     /**
      * Transmit one response-packet-worth of data toward compute node
-     * @p dst_node (its parallel kernel partition; ignored on the
-     * serial path). Datapath responses carry a packet handle or an
-     * STU continuation; like requests, they must fit the mailbox
-     * payload (DeliverFn) or the send does not compile.
+     * @p dst_node; @p deliver runs on the node's partition. Datapath
+     * responses carry a packet handle or an STU continuation.
      */
     template <typename F>
     void
     sendResponse(NodeId dst_node, F&& deliver)
     {
         checkDeliver(deliver);
-        if (!sim_.parallel()) {
-            sim_.events().schedule(departure(Response),
-                                   std::forward<F>(deliver));
-            return;
-        }
-        postResponseParallel(dst_node,
-                             makeDelivery(std::forward<F>(deliver)));
+        sim_.send(*this, Response, sim_.partitions().node(dst_node),
+                  std::forward<F>(deliver));
     }
+
+    /**
+     * Arbiter: account one transmission on @p channel that left its
+     * source at @p sent; @return its delivery tick.
+     */
+    Tick arbitrate(unsigned channel, Tick sent) override;
 
     [[nodiscard]] Tick latency() const { return params_.latency; }
     [[nodiscard]] const FabricParams& params() const { return params_; }
@@ -112,32 +101,6 @@ class FabricLink : public Component, public Arbiter
             FAMSIM_ASSERT(static_cast<bool>(deliver),
                           "fabric delivery callback must be non-null");
     }
-
-    /**
-     * Account one transmission departing at @p now; @return the
-     * delivery tick.
-     */
-    [[nodiscard]] Tick departureAt(Channel channel, Tick now);
-
-    /** Account one transmission departing now; @return delivery tick. */
-    [[nodiscard]] Tick departure(Channel channel);
-
-    /** Arbiter: departureAt() on behalf of the parallel kernel. */
-    Tick arbitrate(unsigned channel, Tick sent) override;
-
-    // Out-of-line parallel-kernel plumbing (fabric_link.cc), so this
-    // header — and every component TU including it — stays independent
-    // of the kernel proper (psim/mailbox.hh is a leaf payload-type
-    // header): the kernel orchestrates the fabric, not the other way
-    // around.
-
-    /** Post @p fn to the kernel's arbitration lane, destination the
-     *  partition of media module @p dst_module. */
-    void postRequestParallel(unsigned dst_module, DeliverFn fn);
-
-    /** Post @p fn to the kernel's arbitration lane, destination the
-     *  partition of node @p dst_node. */
-    void postResponseParallel(NodeId dst_node, DeliverFn fn);
 
     FabricParams params_;
     std::array<Tick, 2> channelFree_{0, 0};

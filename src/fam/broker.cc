@@ -2,7 +2,6 @@
 
 #include <numeric>
 
-#include "psim/parallel_sim.hh"
 #include "sim/logging.hh"
 
 namespace famsim {
@@ -101,14 +100,17 @@ MemoryBroker::allocPage(NodeId logical_node, Perms perms)
 }
 
 void
-MemoryBroker::emitBrokerWrite(NodeId node, FamAddr block)
+MemoryBroker::emitBrokerWrite(NodeId node, FamAddr block, Tick when)
 {
-    PktPtr pkt = makePacket(node, 0, MemOp::Write, PacketKind::Broker);
-    pkt->fam = block;
-    pkt->hasFam = true;
-    pkt->issued = sim_.curTick();
-    pkt->onDone = [](Packet&) {};
-    media_->access(std::move(pkt));
+    const unsigned module = media_->moduleOf(block.value());
+    sim_.deliver(sim_.partitions().media(module), when, [this, node, block] {
+        PktPtr pkt = makePacket(node, 0, MemOp::Write, PacketKind::Broker);
+        pkt->fam = block;
+        pkt->hasFam = true;
+        pkt->issued = sim_.curTick();
+        pkt->onDone = [](Packet&) {};
+        media_->access(std::move(pkt));
+    });
 }
 
 std::optional<FamAddr>
@@ -122,49 +124,22 @@ MemoryBroker::pteWriteBlock(NodeId node, std::uint64_t npa_page)
 }
 
 void
-MemoryBroker::writeAcmTraffic(std::uint64_t fam_page,
-                              const BrokerWriteEmit& emit)
+MemoryBroker::writeAcmTraffic(std::uint64_t fam_page, Tick when)
 {
     ++acmWrites_;
-    if (!media_)
-        return;
-    emit(0, layout_.acmBlockForPage(fam_page));
-}
-
-void
-MemoryBroker::writeAcmTraffic(std::uint64_t fam_page)
-{
-    writeAcmTraffic(fam_page, [this](NodeId node, FamAddr block) {
-        emitBrokerWrite(node, block);
-    });
+    if (media_)
+        emitBrokerWrite(0, layout_.acmBlockForPage(fam_page), when);
 }
 
 void
 MemoryBroker::writePteTraffic(NodeId node, std::uint64_t npa_page,
-                              const BrokerWriteEmit& emit)
+                              Tick when)
 {
     ++pteWrites_;
     if (!media_)
         return;
     if (auto block = pteWriteBlock(node, npa_page))
-        emit(node, *block);
-}
-
-void
-MemoryBroker::writePteTraffic(NodeId node, std::uint64_t npa_page)
-{
-    writePteTraffic(node, npa_page, [this](NodeId n, FamAddr block) {
-        emitBrokerWrite(n, block);
-    });
-}
-
-void
-MemoryBroker::scheduleBrokerWrite(ParallelSim& psim, NodeId node,
-                                  FamAddr block, Tick when)
-{
-    unsigned module = media_->moduleOf(block.value());
-    psim.deliver(psim.mediaPartition(module), when,
-                 [this, node, block] { emitBrokerWrite(node, block); });
+        emitBrokerWrite(node, *block, when);
 }
 
 void
@@ -173,56 +148,30 @@ MemoryBroker::handleUnmapped(NodeId phys_node, std::uint64_t npa_page,
                              JobId job)
 {
     FAMSIM_ASSERT(done, "handleUnmapped needs a completion callback");
-    if (ParallelSim* psim = sim_.parallel()) {
-        // Parallel kernel: resolve the fault as a global barrier op so
-        // the pool allocator, the ACM flat map and the node's FAM
-        // table mutate while every worker is quiescent (those
-        // structures are read lock-free from node partitions). The
-        // service latency is >= the node's outgoing lookahead floor by
-        // construction of the matrix, so the due tick is conservative;
-        // bookkeeping traffic and the completion are then delivered as
-        // ordinary events at the resolution tick — the PTE/ACM writes
-        // to the media partitions owning their target modules, the
-        // completion to the faulting node's partition.
-        std::uint32_t origin = ParallelSim::currentPartition();
-        FAMSIM_ASSERT(origin != ParallelSim::kNoPartition,
-                      "system-level fault from outside a partition");
-        Tick due = sim_.curTick() + params_.serviceLatency;
-        psim->postGlobal(due, [this, psim, origin, phys_node, npa_page,
-                               due, job,
-                               done = std::move(done)]() mutable {
-            ++faults_;
-            if (jobFaults_)
-                jobFaults_->add(job);
-            NodeId logical = logicalIdOf(phys_node);
-            std::uint64_t fam_page = allocPage(logical, Perms{});
-            famTableOf(phys_node).map(npa_page, fam_page, Perms{});
-            auto emit_at_due = [this, psim, due](NodeId node,
-                                                 FamAddr block) {
-                scheduleBrokerWrite(*psim, node, block, due);
-            };
-            writePteTraffic(phys_node, npa_page, emit_at_due);
-            writeAcmTraffic(fam_page, emit_at_due);
-            psim->deliver(origin, due,
-                          [fam_page, done = std::move(done)] {
-                              done(fam_page);
-                          });
-        });
-        return;
-    }
-    ++faults_;
-    if (jobFaults_)
-        jobFaults_->add(job);
-    sim_.events().scheduleAfter(
-        params_.serviceLatency,
-        [this, phys_node, npa_page, done = std::move(done)] {
-            NodeId logical = logicalIdOf(phys_node);
-            std::uint64_t fam_page = allocPage(logical, Perms{});
-            famTableOf(phys_node).map(npa_page, fam_page, Perms{});
-            writePteTraffic(phys_node, npa_page);
-            writeAcmTraffic(fam_page);
+    const std::uint32_t origin = sim_.partitions().node(phys_node);
+    FAMSIM_ASSERT(sim_.onPartition(origin), "system-level fault of node ",
+                  phys_node, " raised off its partition");
+    // Resolve the fault as a barrier op, so the pool allocator, the ACM
+    // flat map and the node's FAM table mutate while no partition reads
+    // them. The service latency is the node->broker lookahead floor, so
+    // the due tick is conservative; the PTE/ACM writes then reach the
+    // media partitions owning their target modules, and the completion
+    // the faulting node, as ordinary events at the due tick.
+    const Tick due = sim_.curTick() + params_.serviceLatency;
+    sim_.atBarrier(due, [this, origin, phys_node, npa_page, due, job,
+                         done = std::move(done)]() mutable {
+        ++faults_;
+        if (jobFaults_)
+            jobFaults_->add(job);
+        NodeId logical = logicalIdOf(phys_node);
+        std::uint64_t fam_page = allocPage(logical, Perms{});
+        famTableOf(phys_node).map(npa_page, fam_page, Perms{});
+        writePteTraffic(phys_node, npa_page, due);
+        writeAcmTraffic(fam_page, due);
+        sim_.deliver(origin, due, [fam_page, done = std::move(done)] {
             done(fam_page);
         });
+    });
 }
 
 HierarchicalPageTable&
@@ -261,7 +210,7 @@ MemoryBroker::mapSharedPage(std::uint64_t region, NodeId phys_node,
                   "unknown shared region ", region);
     std::uint64_t fam_page = it->second++;
     acm_.markShared(fam_page, Perms{}.encode2b());
-    writeAcmTraffic(fam_page);
+    writeAcmTraffic(fam_page, sim_.curTick());
     attachSharedPage(fam_page, phys_node, npa_page);
     return fam_page;
 }
@@ -271,7 +220,7 @@ MemoryBroker::attachSharedPage(std::uint64_t fam_page, NodeId phys_node,
                                std::uint64_t npa_page)
 {
     famTableOf(phys_node).map(npa_page, fam_page, Perms{});
-    writePteTraffic(phys_node, npa_page);
+    writePteTraffic(phys_node, npa_page, sim_.curTick());
 }
 
 void
@@ -308,23 +257,9 @@ MemoryBroker::migrateJob(NodeId from, NodeId to, bool use_logical_ids,
         auto pages = acm_.pagesOwnedBy(from_logical);
         report.pagesMoved = pages.size();
         report.acmWrites = acm_.reassignOwner(from_logical, to_logical);
-        BrokerWriteEmit emit = [this](NodeId node, FamAddr block) {
-            emitBrokerWrite(node, block);
-        };
-        if (ParallelSim* psim = sim_.parallel(); psim && media_) {
-            // Called from a global barrier op: deliver the writes to
-            // the owning media partitions at the op's due tick; a
-            // direct media access would execute outside the module's
-            // partition.
-            FAMSIM_ASSERT(emit_at != 0,
-                          "parallel migration needs the barrier op's "
-                          "due tick for its ACM traffic");
-            emit = [this, psim, emit_at](NodeId node, FamAddr block) {
-                scheduleBrokerWrite(*psim, node, block, emit_at);
-            };
-        }
+        const Tick when = emit_at != 0 ? emit_at : sim_.curTick();
         for (std::uint64_t page : pages)
-            writeAcmTraffic(page, emit);
+            writeAcmTraffic(page, when);
     }
 
     // Move the system-level NPA->FAM mappings with the job: the

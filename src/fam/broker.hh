@@ -33,8 +33,6 @@
 
 namespace famsim {
 
-class ParallelSim; // src/psim/parallel_sim.hh
-
 /** Broker configuration. */
 struct BrokerParams {
     /** Service latency for a system-level page fault (queue + handler). */
@@ -82,8 +80,13 @@ class MemoryBroker : public Component
      * Handle a system-level fault: NPA page @p npa_page of @p phys_node
      * has no FAM mapping. After the service latency the broker
      * allocates a page, installs the FAM PTE + ACM entry (generating
-     * FAM write traffic) and invokes @p done with the FAM page.
-     * @p job attributes the fault to its tenant (multi-tenant runs).
+     * FAM write traffic) and invokes @p done with the FAM page on the
+     * node's partition. The resolution is a barrier op
+     * (Simulation::atBarrier), because the pool allocator, the ACM
+     * flat map and the node's FAM table are read lock-free from other
+     * partitions; the fault is counted when it runs. @p job attributes
+     * the fault to its tenant (multi-tenant runs). Called from
+     * @p phys_node's partition (asserted).
      */
     void handleUnmapped(NodeId phys_node, std::uint64_t npa_page,
                         std::function<void(std::uint64_t fam_page)> done,
@@ -132,12 +135,11 @@ class MemoryBroker : public Component
      * owned page's ACM entry is rewritten. @p to is registered on the
      * fly if it never faulted before; @p from must be registered.
      *
-     * Under the parallel kernel this must be called from a global
-     * barrier op, with @p emit_at the op's due tick: the ACM rewrite
-     * traffic is then scheduled onto the owning media partitions at
-     * that tick instead of accessing the media directly (which would
-     * run outside its owning partition). Serial callers leave
-     * @p emit_at at 0.
+     * During a run this must be called from a barrier op
+     * (Simulation::atBarrier), with @p emit_at the op's due tick: the
+     * ACM rewrite traffic reaches the owning media partitions at that
+     * tick, through Simulation::deliver. 0 means now, for callers
+     * outside a run.
      */
     MigrationReport migrateJob(NodeId from, NodeId to,
                                bool use_logical_ids, Tick emit_at = 0);
@@ -151,35 +153,18 @@ class MemoryBroker : public Component
   private:
     std::uint64_t nextScatteredPage();
 
-    /** Emit one bookkeeping FAM write of @p block now (media_ set). */
-    void emitBrokerWrite(NodeId node, FamAddr block);
+    /**
+     * Write @p block at @p when (a barrier op's due tick, or now): a
+     * bookkeeping FAM access delivered to the partition of the module
+     * that owns it. Needs media_; the callers count the write.
+     */
+    void emitBrokerWrite(NodeId node, FamAddr block, Tick when);
     /** Block address of @p node's leaf FAM PTE for @p npa_page. */
     std::optional<FamAddr> pteWriteBlock(NodeId node,
                                          std::uint64_t npa_page);
 
-    /**
-     * How a bookkeeping write reaches the media: immediately on the
-     * serial path, scheduled onto the owning media partition at the
-     * fault's due tick on the parallel path. Parameterizing the emit
-     * keeps the counting/guard logic in one place for both.
-     */
-    using BrokerWriteEmit = std::function<void(NodeId, FamAddr)>;
-
-    void writeAcmTraffic(std::uint64_t fam_page);
-    void writeAcmTraffic(std::uint64_t fam_page,
-                         const BrokerWriteEmit& emit);
-    void writePteTraffic(NodeId node, std::uint64_t npa_page);
-    void writePteTraffic(NodeId node, std::uint64_t npa_page,
-                         const BrokerWriteEmit& emit);
-
-    /**
-     * Parallel-kernel flavor of the bookkeeping FAM writes: from a
-     * global barrier op, deliver the write of @p block at @p when to
-     * the media partition that owns the target module (through its
-     * inbox, behind the barrier's fabric deliveries).
-     */
-    void scheduleBrokerWrite(ParallelSim& psim, NodeId node,
-                             FamAddr block, Tick when);
+    void writeAcmTraffic(std::uint64_t fam_page, Tick when);
+    void writePteTraffic(NodeId node, std::uint64_t npa_page, Tick when);
 
     BrokerParams params_;
     FamLayout& layout_;

@@ -1,6 +1,5 @@
 #include "fam/fam_media.hh"
 
-#include "psim/parallel_sim.hh"
 #include "sim/logging.hh"
 #include "sim/trace_sink.hh"
 
@@ -36,14 +35,17 @@ FamMedia::FamMedia(Simulation& sim, const std::string& name,
                                "per tenant job",
                                params_.jobs);
     }
+    const PartitionLayout& layout = sim.partitions();
+    FAMSIM_ASSERT(layout.empty() || layout.mediaModules() == params.modules,
+                  "FAM has ", params.modules, " modules; the partition "
+                  "layout has ", layout.mediaModules());
     for (unsigned i = 0; i < params.modules; ++i) {
         // Module i's banked state and histograms run on (and are owned
-        // by) media partition partitionBase + i; the aggregate
-        // SharedCounters above span every module and stay untagged.
-        check::WiringScope wire(
-            params_.partitionBase == check::kUnowned
-                ? check::kUnowned
-                : params_.partitionBase + i);
+        // by) its media partition; the aggregate SharedCounters above
+        // span every module and stay untagged, and so does everything
+        // when no layout is set (fixtures without a System).
+        check::WiringScope wire(layout.empty() ? check::kUnowned
+                                               : layout.media(i));
         modules_.push_back(std::make_unique<BankedMemory>(
             sim, name + ".module" + std::to_string(i), params.nvm));
         obsFabric_.push_back(obsHistogram(
@@ -60,14 +62,10 @@ FamMedia::access(PktPtr pkt)
                   "data packet reached FAM without a FAM address");
     std::uint64_t addr = pkt->fam.value();
     unsigned module = moduleOf(addr);
-    if (ParallelSim* psim = sim_.parallel()) {
-        // Sharded kernel: each module's banked state belongs to one
-        // partition; a mis-routed access would race with its owner.
-        FAMSIM_ASSERT(ParallelSim::currentPartition() ==
-                          psim->mediaPartition(module),
-                      "FAM access executed off the owning media "
-                      "partition");
-    }
+    // Each module's banked state belongs to one partition; under psim
+    // a mis-routed access would race with its owner.
+    FAMSIM_ASSERT(sim_.onPartition(sim_.partitions().media(module)),
+                  "FAM access executed off the owning media partition");
     ++total_;
     if (jobRequests_) {
         jobRequests_->add(pkt->job);
@@ -92,7 +90,7 @@ FamMedia::access(PktPtr pkt)
                                    kNanosecond);
     if (TraceSink* trace = sim_.trace();
         trace && trace->wants(TraceSink::kPacket)) {
-        std::uint32_t lane = traceLaneBase_ + module;
+        std::uint32_t lane = sim_.partitions().media(module);
         if (pkt->tsFabricReq != 0)
             trace->span(TraceSink::kPacket, lane, "fabric.req",
                         pkt->tsFabricReq, now);

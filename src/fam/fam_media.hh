@@ -37,14 +37,6 @@ struct FamMediaParams {
      * > 1 registers the per-job request attribution tables.
      */
     unsigned jobs = 1;
-    /**
-     * psim partition of module 0 (module m is owned by partitionBase
-     * + m; the media partitions sit after the node partitions). Set by
-     * SystemConfig::finalize; the default leaves the per-module stats
-     * unstamped for the FAMSIM_CHECK ownership hooks (serial-only
-     * fixtures that construct a FamMedia directly).
-     */
-    std::uint32_t partitionBase = check::kUnowned;
 };
 
 /** The fabric-attached NVM pool(s). Accessed with FAM addresses. */
@@ -55,11 +47,11 @@ class FamMedia : public Component
              const FamMediaParams& params);
 
     /**
-     * Service @p pkt (pkt->fam must be valid). Under the parallel
-     * kernel the caller must be executing on the partition that owns
-     * the target module (asserted): requests arrive via the fabric's
-     * arbitrated delivery, broker bookkeeping via barrier-op
-     * scheduling, both of which route by moduleOf().
+     * Service @p pkt (pkt->fam must be valid). The caller must run on
+     * the partition that owns the target module (asserted; always true
+     * on the serial kernel): requests arrive via the fabric's send,
+     * broker bookkeeping via a barrier op's deliver, both of which
+     * route by moduleOf().
      */
     void access(PktPtr pkt);
 
@@ -77,13 +69,6 @@ class FamMedia : public Component
     {
         return static_cast<unsigned>(modules_.size());
     }
-
-    /**
-     * Base trace-lane id of module 0 (= node count: media lanes sit
-     * after the node lanes, mirroring the psim partition layout). Set
-     * once by System; module @c m emits on lane base + m.
-     */
-    void setTraceLaneBase(std::uint32_t base) { traceLaneBase_ = base; }
 
     /** Total requests observed (for Fig. 4 / Fig. 11 percentages). */
     [[nodiscard]] std::uint64_t totalRequests() const
@@ -120,7 +105,6 @@ class FamMedia : public Component
      * thread-safe.
      */
     std::vector<Histogram*> obsFabric_;
-    std::uint32_t traceLaneBase_ = 0;
 };
 
 } // namespace famsim

@@ -14,13 +14,11 @@ ParallelSim::ParallelSim(Simulation& sim, const Topology& topo,
       // More workers than partitions can never help: every worker
       // acknowledges every epoch, so the surplus would be pure
       // barrier overhead.
-      pool_(std::max(1u, std::min(threads, topo.nodes + topo.mediaModules
-                                               + 1))),
-      nodes_(topo.nodes),
-      media_(topo.mediaModules)
+      pool_(std::max(1u, std::min(threads, sim.partitions().count())))
 {
-    FAMSIM_ASSERT(topo.nodes >= 1 && topo.mediaModules >= 1,
-                  "sharded topology needs nodes and media modules");
+    FAMSIM_ASSERT(!sim_.partitions().empty(),
+                  "the parallel kernel needs the simulation's partition "
+                  "layout");
     FAMSIM_ASSERT(topo.fabricLookahead > 0 && topo.brokerLookahead > 0,
                   "per-edge lookaheads must be positive");
     auto node = static_cast<std::size_t>(Kind::Node);
@@ -36,7 +34,7 @@ ParallelSim::ParallelSim(Simulation& sim, const Topology& topo,
     edge_[broker][mediaKind] = topo.brokerLookahead;
     FAMSIM_ASSERT(!sim_.parallel(),
                   "a parallel kernel is already bound to this simulation");
-    const std::uint32_t partitions = topo.nodes + topo.mediaModules + 1;
+    const std::uint32_t partitions = sim_.partitions().count();
     parts_.reserve(partitions);
     for (std::uint32_t p = 0; p < partitions; ++p)
         parts_.push_back(std::make_unique<NodeQueue>(p));
@@ -58,7 +56,7 @@ ParallelSim::postArbitrated(Arbiter& arbiter, unsigned channel,
     std::uint32_t src = currentPartition();
     FAMSIM_ASSERT(src != kNoPartition,
                   "arbitrated post from outside a partition");
-    FAMSIM_ASSERT(dst < partitions(), "post to unknown partition ", dst);
+    FAMSIM_ASSERT(dst < parts_.size(), "post to unknown partition ", dst);
     FAMSIM_ASSERT(lookaheadBetween(src, dst) != kNever,
                   "arbitrated send on the edgeless partition pair ", src,
                   " -> ", dst);
@@ -94,6 +92,14 @@ ParallelSim::arbitrate()
     }
     for (auto& sends : arbIn_)
         sends.clear();
+}
+
+void
+ParallelSim::deliver(std::uint32_t dst, Tick when, DeliverFn fn)
+{
+    FAMSIM_ASSERT(dst < parts_.size(), "delivery to unknown partition ",
+                  dst);
+    parts_[dst]->deliver(when, std::move(fn));
 }
 
 void
@@ -143,7 +149,7 @@ ParallelSim::runGlobalOpsThrough(Tick start)
     // quiescent so touching any partition's state is safe.
     std::size_t taken = 0;
     {
-        Scope scope(*this, brokerPartition(), check::Phase::Barrier);
+        Scope scope(*this, sim_.partitions().broker(), check::Phase::Barrier);
         while (taken < pendingGlobal_.size() &&
                pendingGlobal_[taken].due <= start) {
             auto fn = std::move(pendingGlobal_[taken].fn);
@@ -198,7 +204,7 @@ ParallelSim::run()
         trace = nullptr;
     Profiler* prof = sim_.profiler();
     if (prof)
-        prof->setPartitions(partitions());
+        prof->setPartitions(static_cast<std::uint32_t>(parts_.size()));
     // Last emitted per-partition cumulative executed count, so the
     // counter track only gets a point when the value moved.
     std::vector<std::uint64_t> executedSeen;
@@ -225,7 +231,7 @@ ParallelSim::run()
         if (trace) {
             // One span per window on the broker lane (the
             // coordinator's home).
-            trace->span(TraceSink::kPsim, brokerPartition(),
+            trace->span(TraceSink::kPsim, sim_.partitions().broker(),
                         "psim.window", start, end);
         }
         // One epoch per window: each task flushes its partition's

@@ -2,15 +2,18 @@
  * @file
  * ParallelSim — the conservative-window parallel simulation kernel.
  *
- * The simulated system is split into partitions: one per compute node
- * (the node's cores, caches, TLBs, walkers, OS, DRAM, FAM translator
- * and STU), one per FAM media module (the module's banked NVM plus the
- * AT/ACM traffic it serves), and one for the MemoryBroker (the
- * scheduling context for system-level bookkeeping). Each partition
- * owns a NodeQueue; a fixed WorkerPool executes all partitions' events
- * for one SyncWindow at a time, entirely without locks, because every
- * cross-partition interaction has a floor latency given by the
- * per-edge lookahead matrix:
+ * The simulated system is split into partitions, laid out by the
+ * Simulation's PartitionLayout: one per compute node (the node's
+ * cores, caches, TLBs, walkers, OS, DRAM, FAM translator and STU), one
+ * per FAM media module (the module's banked NVM plus the AT/ACM
+ * traffic it serves), and one for the MemoryBroker (the scheduling
+ * context for system-level bookkeeping). Components reach other
+ * partitions only through Simulation's kernel seam (send, deliver,
+ * atBarrier), whose psim halves call postArbitrated, deliver and
+ * postGlobal here. Each partition owns a NodeQueue; a fixed WorkerPool
+ * executes all partitions' events for one SyncWindow at a time,
+ * entirely without locks, because every cross-partition interaction
+ * has a floor latency given by the per-edge lookahead matrix:
  *
  *  - node <-> media: the fabric's one-way latency (request sends from
  *    the STU/E-FAM path, response sends from the media);
@@ -47,12 +50,13 @@
  * next barrier but must not schedule: the queues have already run past
  * its due tick.
  *
- * The parallel schedule is deliberately *not* identical to the legacy
- * serial one (same-tick cross-partition ties resolve by (tick, src,
- * seq) instead of global insertion order, and warmup/fault barrier
- * ops quantize to window boundaries) — the contract is determinism
- * across thread counts, with serial mode (threads = 0) untouched.
- * See DESIGN.md "Parallel kernel".
+ * The parallel schedule is deliberately *not* identical to the serial
+ * one (same-tick cross-partition ties resolve by (tick, src, seq)
+ * instead of global insertion order, barrier ops quantize to window
+ * boundaries, and migrations are due one broker service latency after
+ * their threshold) — the contract is determinism across thread counts,
+ * with serial mode (threads = 0) untouched. See DESIGN.md "Parallel
+ * kernel".
  */
 
 #ifndef FAMSIM_PSIM_PARALLEL_SIM_HH
@@ -89,22 +93,19 @@ class ParallelSim
     enum class Kind : std::uint8_t { Node = 0, Media = 1, Broker = 2 };
 
     /**
-     * The sharded fabric/FAM topology: partitions are laid out as
-     * [0, nodes) compute nodes, [nodes, nodes + mediaModules) FAM
-     * media modules, and one broker partition last. The two latencies
-     * populate the per-edge lookahead matrix (node<->media edges get
-     * the fabric latency, every edge touching the broker gets the
-     * fault service latency; same-kind pairs have no edge — using one
-     * is a modeling bug and panics).
+     * The two latencies of the per-edge lookahead matrix: node<->media
+     * edges get the fabric latency, every edge touching the broker the
+     * fault service latency; same-kind pairs have no edge (using one
+     * is a modeling bug and panics). The partitions themselves come
+     * from the Simulation's PartitionLayout.
      */
     struct Topology {
-        std::uint32_t nodes = 0;
-        std::uint32_t mediaModules = 0;
         Tick fabricLookahead = 0; //!< node<->media floor (one-way fabric)
         Tick brokerLookahead = 0; //!< *<->broker floor (fault service)
     };
 
     /**
+     * One partition per entry of @p sim's layout (set beforehand).
      * Binds itself to @p sim (Simulation::parallel()) for its
      * lifetime; unbinds on destruction.
      *
@@ -117,38 +118,13 @@ class ParallelSim
     ParallelSim(const ParallelSim&) = delete;
     ParallelSim& operator=(const ParallelSim&) = delete;
 
-    [[nodiscard]] std::uint32_t partitions() const
-    {
-        return static_cast<std::uint32_t>(parts_.size());
-    }
-
-    /** Partition of compute node @p node. */
-    [[nodiscard]] std::uint32_t nodePartition(std::uint32_t node) const
-    {
-        return node;
-    }
-
-    /** Partition owning FAM media module @p module. */
-    [[nodiscard]] std::uint32_t mediaPartition(std::uint32_t module) const
-    {
-        return nodes_ + module;
-    }
-
-    /**
-     * The broker partition (by convention the last one): the memory
-     * broker's home and the scheduling context for global barrier ops.
-     */
-    [[nodiscard]] std::uint32_t brokerPartition() const
-    {
-        return partitions() - 1;
-    }
-
     [[nodiscard]] Kind
     kindOf(std::uint32_t partition) const
     {
-        if (partition < nodes_)
+        const PartitionLayout& layout = sim_.partitions();
+        if (partition < layout.media(0))
             return Kind::Node;
-        if (partition < nodes_ + media_)
+        if (partition < layout.broker())
             return Kind::Media;
         return Kind::Broker;
     }
@@ -219,16 +195,11 @@ class ParallelSim
                         std::uint32_t dst, DeliverFn fn);
 
     /**
-     * Barrier-time schedule (global ops only): run @p cb on partition
+     * Barrier-time schedule (global ops only): run @p fn on partition
      * @p dst at @p when. Goes through @p dst's inbox, behind this
      * barrier's arbitrated deliveries, in call order.
      */
-    template <typename F>
-    void
-    deliver(std::uint32_t dst, Tick when, F&& cb)
-    {
-        parts_[dst]->deliver(when, makeDelivery(std::forward<F>(cb)));
-    }
+    void deliver(std::uint32_t dst, Tick when, DeliverFn fn);
 
     /**
      * Global barrier op: at the first barrier whose window start is at
@@ -327,8 +298,6 @@ class ParallelSim
     Simulation& sim_;
     SyncWindow window_;
     WorkerPool pool_;
-    std::uint32_t nodes_ = 0; //!< node partition count
-    std::uint32_t media_ = 0; //!< media partition count
     /** Per-edge lookahead floors, indexed by (src Kind, dst Kind). */
     std::array<std::array<Tick, 3>, 3> edge_{};
 

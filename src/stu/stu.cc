@@ -273,13 +273,7 @@ Stu::startWalk(std::uint64_t npa_page, WalkDone done)
     Walk& walk = walkOf(npa_page);
     auto result =
         broker_.famTableOf(walk.waiters.front()->node).walk(npa_page);
-    int deepest = famPtwCache_.deepestCachedLevel(npa_page);
-    std::size_t start = static_cast<std::size_t>(deepest + 1);
-    if (start >= result.steps.size()) {
-        // PTW cache covered every level that exists; if the leaf level
-        // itself was reachable, the walk still reads the PTE.
-        start = result.steps.empty() ? 0 : result.steps.size() - 1;
-    }
+    const std::size_t start = famPtwCache_.firstStep(npa_page, result.steps);
     walk.steps = result.steps;
     walk.done = std::move(done);
     walkStep(npa_page, start);
@@ -290,11 +284,7 @@ Stu::walkStep(std::uint64_t npa_page, std::size_t index)
 {
     Walk& walk = walkOf(npa_page);
     if (index >= walk.steps.size()) {
-        // Record traversed upper levels in the PTW cache.
-        for (const auto& step : walk.steps) {
-            if (step.level < HierarchicalPageTable::kLevels - 1)
-                famPtwCache_.insert(npa_page, step.level);
-        }
+        famPtwCache_.recordWalk(npa_page, walk.steps);
         auto leaf = broker_.famTableOf(walk.waiters.front()->node)
                         .lookup(npa_page);
         finishWalk(npa_page, leaf);

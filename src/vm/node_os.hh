@@ -101,12 +101,6 @@ class NodeOs : public Component
     /** Allocate an NPA page in the FAM zone without mapping a VA. */
     std::uint64_t allocFamZonePage();
 
-    /** First NPA byte of the FAM zone. */
-    [[nodiscard]] std::uint64_t famZoneBase() const
-    {
-        return params_.localBytes;
-    }
-
     /** Whether @p addr falls in the local-DRAM zone. */
     [[nodiscard]] bool
     isLocal(NPAddr addr) const
@@ -133,7 +127,6 @@ class NodeOs : public Component
 
     [[nodiscard]] const NodeOsParams& params() const { return params_; }
     [[nodiscard]] FamMode mode() const { return mode_; }
-    [[nodiscard]] NodeId nodeId() const { return node_; }
 
     /** Pages allocated so far in each zone (for tests). */
     [[nodiscard]] std::uint64_t localPagesAllocated() const

@@ -167,9 +167,6 @@ class HierarchicalPageTable
     [[nodiscard]] std::optional<std::uint64_t>
     entryAddr(std::uint64_t key_page, unsigned level) const;
 
-    /** Simulated base address of the root (PGD) table page. */
-    [[nodiscard]] std::uint64_t rootAddr() const { return root_->base; }
-
     /** Number of table pages allocated so far. */
     [[nodiscard]] std::size_t tablePages() const { return tablePages_; }
 

@@ -127,6 +127,27 @@ PtwCache::insert(std::uint64_t key_page, unsigned level)
     cache_.insert(keyFor(key_page, level), std::uint8_t{1});
 }
 
+std::size_t
+PtwCache::firstStep(std::uint64_t key_page,
+                    const HierarchicalPageTable::StepList& steps)
+{
+    const auto start =
+        static_cast<std::size_t>(deepestCachedLevel(key_page) + 1);
+    if (start < steps.size())
+        return start;
+    return steps.empty() ? 0 : steps.size() - 1;
+}
+
+void
+PtwCache::recordWalk(std::uint64_t key_page,
+                     const HierarchicalPageTable::StepList& steps)
+{
+    for (const auto& step : steps) {
+        if (step.level < HierarchicalPageTable::kLevels - 1)
+            insert(key_page, step.level);
+    }
+}
+
 void
 PtwCache::invalidateAll()
 {

@@ -115,6 +115,19 @@ class PtwCache : public Component
     /** Record the level-@p level entry for @p key_page. */
     void insert(std::uint64_t key_page, unsigned level);
 
+    /**
+     * Index of the first of @p steps (a walk of @p key_page) a walker
+     * must read: just past the deepest cached level, but never past
+     * the last step — when the cache covers every level that exists,
+     * the walk still reads the deepest entry. One cache lookup.
+     */
+    std::size_t firstStep(std::uint64_t key_page,
+                          const HierarchicalPageTable::StepList& steps);
+
+    /** Record the upper (non-PTE) levels of a finished walk. */
+    void recordWalk(std::uint64_t key_page,
+                    const HierarchicalPageTable::StepList& steps);
+
     void invalidateAll();
 
     [[nodiscard]] double hitRate() const;

@@ -26,10 +26,7 @@ NodePtWalker::walk(std::uint64_t va_page, DoneFn done)
     FAMSIM_ASSERT(done, "walker needs a completion callback");
     ++walks_;
     auto result = table_.walk(va_page);
-    int deepest = ptwCache_.deepestCachedLevel(va_page);
-    std::size_t start = static_cast<std::size_t>(deepest + 1);
-    if (start >= result.steps.size())
-        start = result.steps.empty() ? 0 : result.steps.size() - 1;
+    const std::size_t start = ptwCache_.firstStep(va_page, result.steps);
     step(va_page, std::move(result.steps), start, std::move(done));
 }
 
@@ -39,10 +36,7 @@ NodePtWalker::step(std::uint64_t va_page,
                    std::size_t index, DoneFn done)
 {
     if (index >= steps.size()) {
-        for (const auto& s : steps) {
-            if (s.level < HierarchicalPageTable::kLevels - 1)
-                ptwCache_.insert(va_page, s.level);
-        }
+        ptwCache_.recordWalk(va_page, steps);
         auto leaf = table_.lookup(va_page);
         if (!leaf)
             ++faults_;
@@ -59,15 +53,6 @@ NodePtWalker::step(std::uint64_t va_page,
         step(va_page, std::move(steps), index + 1, std::move(done));
     };
     mem_.access(std::move(pkt));
-}
-
-double
-NodePtWalker::avgStepsPerWalk() const
-{
-    return walks_.value() == 0
-               ? 0.0
-               : static_cast<double>(steps_.value()) /
-                     static_cast<double>(walks_.value());
 }
 
 } // namespace famsim

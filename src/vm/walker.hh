@@ -45,8 +45,6 @@ class NodePtWalker : public Component
      */
     void walk(std::uint64_t va_page, DoneFn done);
 
-    [[nodiscard]] double avgStepsPerWalk() const;
-
   private:
     void step(std::uint64_t va_page,
               HierarchicalPageTable::StepList steps,

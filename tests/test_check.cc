@@ -33,7 +33,8 @@ namespace {
 #if FAMSIM_CHECK
 
 /** Node 0, media module 1 and the broker (2); every edge 10 ticks. */
-constexpr ParallelSim::Topology kTopology{1, 1, 10, 10};
+const PartitionLayout kLayout{1, 1};
+constexpr ParallelSim::Topology kTopology{10, 10};
 
 /** Expect @p msg to name the owner, the accessor and the phase. */
 void
@@ -50,6 +51,7 @@ expectDiagnostic(const std::string& msg, const std::string& owner,
 TEST(OwnershipCheck, CrossPartitionStatWriteFatals)
 {
     Simulation sim;
+    sim.setPartitions(kLayout);
     ParallelSim psim(sim, kTopology, 1);
     Counter* victim = nullptr;
     {
@@ -76,6 +78,7 @@ TEST(OwnershipCheck, CrossPartitionStatWriteFatals)
 TEST(OwnershipCheck, MidExecMailboxBypassFatals)
 {
     Simulation sim;
+    sim.setPartitions(kLayout);
     ParallelSim psim(sim, kTopology, 1);
     // Seed the bypass: mid-exec, partition 0 schedules straight onto
     // partition 1's queue instead of sending through the kernel.
@@ -132,6 +135,7 @@ TEST(OwnershipCheck, FiresIdenticallyOnEveryRun)
     std::string first;
     for (int round = 0; round < 3; ++round) {
         Simulation sim;
+        sim.setPartitions(kLayout);
         ParallelSim psim(sim, kTopology, 1);
         Counter* victim = nullptr;
         {
@@ -169,6 +173,7 @@ TEST(OwnershipCheck, LegalTrafficIsNotFlagged)
         }
     } arbiter;
     Simulation sim;
+    sim.setPartitions(kLayout);
     ParallelSim psim(sim, kTopology, 1);
     Counter* local = nullptr;
     Counter* remote = nullptr;
@@ -198,6 +203,7 @@ TEST(OwnershipCheck, BarrierOpsMayTouchAnyPartition)
     // Barrier phase deliberately exempts them, so a warmup-style
     // cross-partition stat reset/bump must not trip the checker.
     Simulation sim;
+    sim.setPartitions(kLayout);
     ParallelSim psim(sim, kTopology, 1);
     Counter* owned = nullptr;
     {
@@ -218,6 +224,7 @@ TEST(OwnershipCheck, UnstampedObjectsAreNeverChecked)
     // Serial-mode fixtures register stats with no WiringScope active:
     // unowned tags must stay permanently exempt.
     Simulation sim;
+    sim.setPartitions(kLayout);
     Counter& c = sim.stats().counter("check.unowned", "no owner");
     ParallelSim psim(sim, kTopology, 1);
     psim.withPartition(0, [&] {

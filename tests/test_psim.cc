@@ -9,8 +9,8 @@
  * unobservable. The unit tests pin the mechanisms that property rests
  * on: arbitration order and edge floors at window barriers,
  * worker-pool epoch semantics (one epoch per window), sync-window
- * bounds and the queue-id handle. ParallelGolden pins the schedule
- * itself across builds.
+ * bounds, the queue-id handle and the psim half of Simulation's
+ * kernel seam. ParallelGolden pins the schedule itself across builds.
  *
  * FAMSIM_THREADS (when set and >= 2) selects the "many threads" side
  * of the determinism comparisons, so CI can re-run the suite at
@@ -19,12 +19,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -255,13 +257,15 @@ TEST(ParallelGolden, MigrationUnderLoad)
 // --------------------------------------------- arbitrated deliveries
 
 /**
- * One node (partition 0), @p media media modules (partitions 1..media)
- * and the broker (last), with every edge @p lookahead wide.
+ * Lay @p sim out as one node (partition 0), @p media media modules
+ * (partitions 1..media) and the broker (last); @return a topology with
+ * every edge @p lookahead wide.
  */
 ParallelSim::Topology
-uniformTopology(std::uint32_t media, Tick lookahead)
+uniformTopology(Simulation& sim, std::uint32_t media, Tick lookahead)
 {
-    return ParallelSim::Topology{1, media, lookahead, lookahead};
+    sim.setPartitions(PartitionLayout(1, media));
+    return ParallelSim::Topology{lookahead, lookahead};
 }
 
 /**
@@ -292,7 +296,8 @@ class DelayArbiter : public Arbiter
 TEST(Mailbox, ArbitratedDrainUsesSenderTickOrder)
 {
     Simulation sim;
-    ParallelSim psim(sim, uniformTopology(/*media=*/2, /*lookahead=*/50), 2);
+    ParallelSim psim(sim, uniformTopology(sim, /*media=*/2, /*lookahead=*/50),
+                     2);
     DelayArbiter arbiter(50);
 
     // The channel carries the source id, so the arbiter's record
@@ -323,7 +328,7 @@ TEST(Mailbox, PostBelowLookaheadPanics)
 {
     ScopedThrowOnError throw_on_error;
     Simulation sim;
-    ParallelSim psim(sim, uniformTopology(1, /*lookahead=*/100), 1);
+    ParallelSim psim(sim, uniformTopology(sim, 1, /*lookahead=*/100), 1);
     DelayArbiter arbiter(50);
     psim.withPartition(0, [&] {
         sim.events().schedule(10, [&] {
@@ -338,7 +343,7 @@ TEST(Mailbox, PostBelowLookaheadPanics)
 TEST(GlobalOps, RunAtBarriersInDueSourceOrder)
 {
     Simulation sim;
-    ParallelSim psim(sim, uniformTopology(1, /*lookahead=*/100), 2);
+    ParallelSim psim(sim, uniformTopology(sim, 1, /*lookahead=*/100), 2);
 
     std::vector<std::pair<Tick, unsigned>> order;
     psim.withPartition(1, [&] {
@@ -365,7 +370,7 @@ TEST(GlobalOps, PostFromOutsideAPartitionPanics)
 {
     ScopedThrowOnError throw_on_error;
     Simulation sim;
-    ParallelSim psim(sim, uniformTopology(1, /*lookahead=*/100), 1);
+    ParallelSim psim(sim, uniformTopology(sim, 1, /*lookahead=*/100), 1);
     EXPECT_THROW(psim.postGlobal(10, [] {}), SimError);
 }
 
@@ -472,14 +477,14 @@ TEST(WorkerPool, OneEpochPerWindow)
 
 // -------------------------------------------------- per-edge lookahead
 
-/** The famSystem topology used by the sharded-kernel units: two nodes,
- *  two media modules, a broker; fabric edge 100, broker edge 1000. */
+/** The famSystem topology used by the sharded-kernel units: lay
+ *  @p sim out as two nodes, two media modules and a broker; fabric edge
+ *  100, broker edge 1000. */
 ParallelSim::Topology
-famTopology()
+famTopology(Simulation& sim)
 {
+    sim.setPartitions(PartitionLayout(2, 2));
     ParallelSim::Topology topo;
-    topo.nodes = 2;
-    topo.mediaModules = 2;
     topo.fabricLookahead = 100;
     topo.brokerLookahead = 1000;
     return topo;
@@ -488,12 +493,15 @@ famTopology()
 TEST(PerEdgeLookahead, TopologyLaysOutNodesMediaBroker)
 {
     Simulation sim;
-    ParallelSim psim(sim, famTopology(), 1);
-    EXPECT_EQ(psim.partitions(), 5u);
-    EXPECT_EQ(psim.nodePartition(1), 1u);
-    EXPECT_EQ(psim.mediaPartition(0), 2u);
-    EXPECT_EQ(psim.mediaPartition(1), 3u);
-    EXPECT_EQ(psim.brokerPartition(), 4u);
+    ParallelSim psim(sim, famTopology(sim), 1);
+    const PartitionLayout& layout = sim.partitions();
+    EXPECT_EQ(layout.count(), 5u);
+    EXPECT_EQ(layout.node(1), 1u);
+    EXPECT_EQ(layout.media(0), 2u);
+    EXPECT_EQ(layout.media(1), 3u);
+    EXPECT_EQ(layout.broker(), 4u);
+    for (std::uint32_t p = 0; p < layout.count(); ++p)
+        EXPECT_EQ(psim.queueOf(p).id(), p);
     EXPECT_EQ(psim.kindOf(0), ParallelSim::Kind::Node);
     EXPECT_EQ(psim.kindOf(2), ParallelSim::Kind::Media);
     EXPECT_EQ(psim.kindOf(4), ParallelSim::Kind::Broker);
@@ -511,22 +519,22 @@ TEST(PerEdgeLookahead, TopologyLaysOutNodesMediaBroker)
 }
 
 /**
- * Run one arbitrated send on famTopology() from partition @p src to
- * @p dst at tick 10, delivered @p delay later. @return true when the
- * kernel rejected it (edgeless pair at the send, or a delivery under
- * the edge lookahead at the barrier).
+ * Run one arbitrated send (Simulation::send, whose psim half is
+ * postArbitrated) on famTopology() from partition @p src to @p dst at
+ * tick 10, delivered @p delay later. @return true when the kernel
+ * rejected it (edgeless pair at the send, or a delivery under the edge
+ * lookahead at the barrier).
  */
 bool
 arbitratedSendFails(std::uint32_t src, std::uint32_t dst, Tick delay)
 {
     ScopedThrowOnError throw_on_error;
     Simulation sim;
-    ParallelSim psim(sim, famTopology(), 1);
+    ParallelSim psim(sim, famTopology(sim), 1);
     DelayArbiter arbiter(delay);
     psim.withPartition(src, [&] {
-        sim.events().schedule(10, [&] {
-            psim.postArbitrated(arbiter, 0, dst, makeDelivery([] {}));
-        });
+        sim.events().schedule(10,
+                              [&] { sim.send(arbiter, 0, dst, [] {}); });
     });
     try {
         psim.run();
@@ -551,6 +559,84 @@ TEST(PerEdgeLookahead, PostsEnforceTheEdgeFloors)
     EXPECT_TRUE(arbitratedSendFails(0, 1, 100000));
 }
 
+// ------------------------------------------------- kernel seam, psim half
+
+/**
+ * With psim bound, the seam's calls go through the kernel: atBarrier
+ * (even at now) becomes a global op run at the next barrier on the
+ * broker partition, deliver() from it lands in the destination's
+ * inbox, and send() waits in the arbitration lane until the barrier.
+ * Two nodes (0, 1), one media module (2), the broker (3).
+ */
+TEST(KernelSeam, ParallelCallsGoThroughTheKernel)
+{
+    Simulation sim;
+    sim.setPartitions(PartitionLayout(2, 1));
+    ParallelSim psim(sim, ParallelSim::Topology{100, 1000}, 2);
+    DelayArbiter arbiter(100);
+    // (what, partition, tick), in the order things ran.
+    std::vector<std::tuple<std::string, std::uint32_t, Tick>> ran;
+    auto note = [&](const std::string& what) {
+        ran.emplace_back(what, ParallelSim::currentPartition(),
+                         sim.curTick());
+    };
+    psim.withPartition(0, [&] {
+        sim.events().schedule(10, [&] {
+            sim.atBarrier(sim.curTick(), [&] { note("barrier-now"); });
+            sim.atBarrier(1010, [&] {
+                note("barrier-later");
+                sim.deliver(1, 1010, [&] { note("delivered"); });
+            });
+            sim.send(arbiter, 0, sim.partitions().media(0),
+                     [&] { note("sent"); });
+            EXPECT_TRUE(ran.empty()) << "nothing runs in place";
+            EXPECT_TRUE(arbiter.order.empty()) << "arbitrated at the barrier";
+            EXPECT_TRUE(sim.onPartition(0));
+            EXPECT_FALSE(sim.onPartition(1));
+        });
+    });
+    psim.run();
+    ASSERT_EQ(ran.size(), 4u);
+    EXPECT_EQ(std::get<0>(ran[0]), "barrier-now");
+    EXPECT_EQ(std::get<1>(ran[0]), sim.partitions().broker());
+    EXPECT_EQ(ran[1], std::make_tuple(std::string("sent"), 2u, Tick{110}));
+    EXPECT_EQ(std::get<0>(ran[2]), "barrier-later");
+    EXPECT_EQ(std::get<1>(ran[2]), sim.partitions().broker());
+    EXPECT_EQ(ran[3],
+              std::make_tuple(std::string("delivered"), 1u, Tick{1010}));
+    EXPECT_EQ(arbiter.order,
+              (std::vector<std::pair<Tick, unsigned>>{{10, 0}}));
+}
+
+/**
+ * FabricLink names its destinations through the layout: on two nodes
+ * and two media modules (partitions 0-1 and 2-3), a request for module
+ * 1 arrives on partition 3 and a response for node 1 on partition 1.
+ */
+TEST(KernelSeam, FabricLinkRoutesThroughTheLayout)
+{
+    Simulation sim;
+    sim.setPartitions(PartitionLayout(2, 2));
+    FabricLink fabric(sim, "fabric", FabricParams{100, 2});
+    ParallelSim psim(sim, ParallelSim::Topology{100, 1000}, 1);
+    std::vector<std::pair<std::uint32_t, Tick>> arrived;
+    auto record = [&] {
+        arrived.emplace_back(ParallelSim::currentPartition(),
+                             sim.curTick());
+    };
+    psim.withPartition(0, [&] {
+        sim.events().schedule(10, [&] { fabric.sendRequest(1, record); });
+    });
+    psim.withPartition(2, [&] {
+        sim.events().schedule(10, [&] { fabric.sendResponse(1, record); });
+    });
+    psim.run();
+    std::sort(arrived.begin(), arrived.end());
+    EXPECT_EQ(arrived, (std::vector<std::pair<std::uint32_t, Tick>>{
+                           {1, 110}, {3, 110}}));
+    EXPECT_DOUBLE_EQ(sim.stats().get("fabric.packets"), 2.0);
+}
+
 /**
  * Every window is one base lookahead (the fabric edge, 100) wide,
  * whichever partition anchors it: broker-partition work, whose own
@@ -561,9 +647,9 @@ TEST(PerEdgeLookahead, PostsEnforceTheEdgeFloors)
 TEST(PerEdgeLookahead, WindowsAreOneBaseLookaheadWide)
 {
     Simulation sim;
-    ParallelSim psim(sim, famTopology(), 1);
+    ParallelSim psim(sim, famTopology(sim), 1);
     std::uint64_t broker_events = 0;
-    psim.withPartition(psim.brokerPartition(), [&] {
+    psim.withPartition(sim.partitions().broker(), [&] {
         for (Tick t = 10; t <= 510; t += 100)
             sim.events().schedule(t, [&broker_events] { ++broker_events; });
     });
@@ -575,7 +661,7 @@ TEST(PerEdgeLookahead, WindowsAreOneBaseLookaheadWide)
     EXPECT_EQ(broker_events, 6u);
     EXPECT_TRUE(node_ran);
     EXPECT_EQ(psim.epoch(), 7u);
-    EXPECT_EQ(psim.queueOf(psim.brokerPartition()).curTick(), 999u);
+    EXPECT_EQ(psim.queueOf(sim.partitions().broker()).curTick(), 999u);
 }
 
 // ------------------------------------------------------- sync window
@@ -642,8 +728,8 @@ TEST(SyncWindow, WindowEndSaturatesAtTheTickHorizon)
 TEST(QueueHandle, PartitionQueuesCarryTheirIdAndNextTick)
 {
     Simulation sim;
-    ParallelSim psim(sim, uniformTopology(1, /*lookahead=*/10), 1);
-    EXPECT_EQ(psim.brokerPartition(), 2u);
+    ParallelSim psim(sim, uniformTopology(sim, 1, /*lookahead=*/10), 1);
+    EXPECT_EQ(sim.partitions().broker(), 2u);
     for (std::uint32_t p = 0; p < 3; ++p)
         EXPECT_EQ(psim.queueOf(p).id(), p);
 

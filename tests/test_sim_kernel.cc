@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the simulation kernel beyond the event queue:
- * statistics, RNG determinism, typed addresses, logging modes.
+ * statistics, RNG determinism, typed addresses, logging modes, and the
+ * serial half of Simulation's kernel seam.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,9 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/logging.hh"
 #include "sim/flat_map.hh"
@@ -502,6 +506,92 @@ TEST(Simulation, RunAdvancesTime)
     sim.run();
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(sim.curTick(), 5 * kNanosecond);
+}
+
+// -------------------------------------------- kernel seam, serial half
+
+TEST(KernelSeam, LayoutPlacesNodesThenMediaThenBroker)
+{
+    ScopedThrowOnError guard;
+    Simulation sim;
+    EXPECT_TRUE(sim.partitions().empty());
+    sim.setPartitions(PartitionLayout(2, 3));
+    const PartitionLayout& layout = sim.partitions();
+    EXPECT_EQ(layout.node(1), 1u);
+    EXPECT_EQ(layout.media(0), 2u);
+    EXPECT_EQ(layout.media(2), 4u);
+    EXPECT_EQ(layout.broker(), 5u);
+    EXPECT_EQ(layout.count(), 6u);
+    EXPECT_THROW(sim.setPartitions(PartitionLayout(1, 1)), SimError)
+        << "the layout is set once";
+}
+
+/**
+ * On the serial kernel a barrier op at now runs in place, a later one
+ * runs as an ordinary event at its tick (after the events already
+ * queued there), and deliver() from inside it runs in place.
+ */
+TEST(KernelSeam, SerialBarrierOpsAndDeliveriesRunInPlace)
+{
+    Simulation sim;
+    std::vector<std::string> order;
+    auto note = [&](const std::string& what) {
+        order.push_back(what + "@" + std::to_string(sim.curTick()));
+    };
+    sim.events().schedule(20, [&] { note("queued"); });
+    sim.events().schedule(10, [&] {
+        sim.atBarrier(sim.curTick(), [&] { note("barrier-now"); });
+        note("after-now");
+        sim.atBarrier(20, [&] {
+            note("barrier-later");
+            sim.deliver(3, sim.curTick(), [&] { note("delivered"); });
+            note("after-deliver");
+        });
+    });
+    sim.run();
+    EXPECT_EQ(order, (std::vector<std::string>{
+                         "barrier-now@10", "after-now@10", "queued@20",
+                         "barrier-later@20", "delivered@20",
+                         "after-deliver@20"}));
+}
+
+/** A serial deliver() off the barrier op's tick is a caller bug. */
+TEST(KernelSeam, SerialDeliveryOffTheBarrierTickPanics)
+{
+    ScopedThrowOnError guard;
+    Simulation sim;
+    sim.events().schedule(10, [&] {
+        EXPECT_THROW(sim.deliver(0, 20, [] {}), SimError);
+    });
+    sim.run();
+}
+
+/** On the serial kernel send() accounts the transmission at once and
+ *  schedules the continuation at the tick the arbiter returns. */
+TEST(KernelSeam, SerialSendSchedulesAtTheArbitersTick)
+{
+    struct Recorder : Arbiter {
+        std::vector<std::pair<unsigned, Tick>> sends;
+        Tick
+        arbitrate(unsigned channel, Tick sent) override
+        {
+            sends.emplace_back(channel, sent);
+            return sent + 40;
+        }
+    } arbiter;
+    Simulation sim;
+    Tick arrived = 0;
+    sim.events().schedule(10, [&] {
+        sim.send(arbiter, 1, /*dst=*/7, [&] { arrived = sim.curTick(); });
+        EXPECT_EQ(arbiter.sends.size(), 1u) << "accounted at the send";
+    });
+    sim.run();
+    EXPECT_EQ(arbiter.sends,
+              (std::vector<std::pair<unsigned, Tick>>{{1, 10}}));
+    EXPECT_EQ(arrived, 50u);
+    // One thread runs every partition: it is on all of them.
+    EXPECT_TRUE(sim.onPartition(0));
+    EXPECT_TRUE(sim.onPartition(5));
 }
 
 } // namespace

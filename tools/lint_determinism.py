@@ -3,7 +3,7 @@
 
 The simulator's core contract is byte-identical output for a given
 (seed, config) at any thread count. This lint statically bans the
-constructs that historically break that contract:
+constructs that historically break that contract, or that would:
 
   wall-clock            wall-clock reads (system_clock, steady_clock,
                         high_resolution_clock, gettimeofday,
@@ -27,6 +27,17 @@ constructs that historically break that contract:
                         pointer hashing) varies with allocation layout
                         / ASLR, so iterating such a container is
                         nondeterministic across runs.
+  kernel-seam           an include of psim/parallel_sim.hh, or a call
+                        of parallel() (Simulation's bound kernel),
+                        anywhere in src/ outside src/psim/,
+                        src/sim/simulation.* and src/arch/system.*.
+                        Components reach other partitions only through
+                        Simulation's send/deliver/atBarrier: psim's
+                        byte-identity across thread counts holds only
+                        while every cross-partition effect passes
+                        through the kernel's merge order, and a
+                        component that asks which kernel runs it can
+                        route around it.
 
 Allowlist: a finding is suppressed by an annotation on the same line
 or the line directly above:
@@ -44,7 +55,8 @@ import re
 import sys
 from pathlib import Path
 
-RULES = ("wall-clock", "libc-rand", "unordered-iteration", "pointer-key")
+RULES = ("wall-clock", "libc-rand", "unordered-iteration", "pointer-key",
+         "kernel-seam")
 
 ALLOW_RE = re.compile(r"lint-allow\((?P<rule>[a-z-]+)\)\s*(?::\s*(?P<why>.*?))?\s*(?:\*/)?\s*$")
 
@@ -73,6 +85,13 @@ UNORDERED_DECL_RE = re.compile(r"std::unordered_(?:map|set)\s*<")
 # class excludes ',' '<' '>' so only the key position can match.
 POINTER_KEY_RE = re.compile(
     r"\b(?:unordered_)?(?:map|set)\s*<\s*(?:const\s+)?[\w:\s]*\*\s*[,>]")
+
+# kernel-seam: the psim kernel header, and a call of the bound kernel.
+PSIM_INCLUDE_RE = re.compile(r'#\s*include\s*["<]psim/parallel_sim\.hh[">]')
+PARALLEL_CALL_RE = re.compile(r"(?:\.|->)\s*parallel\s*\(\s*\)")
+# Files under src/ allowed to see the kernel: psim itself, the seam, and
+# System's run, which binds it.
+SEAM_OWNERS = ("psim/", "sim/simulation.", "arch/system.")
 
 
 def strip_comments(lines):
@@ -247,6 +266,28 @@ def scan_group(paths, findings):
                         f"iteration over unordered container '{name}'")
 
 
+def check_kernel_seam(path, rel, findings):
+    """Report kernel queries in a component (@p rel is src-relative)."""
+    if rel.startswith(SEAM_OWNERS):
+        return
+    raw = path.read_text().splitlines()
+    code = strip_comments(raw)
+    for idx, line in enumerate(code):
+        # An include's path is a string literal, which strip_comments
+        # blanks: match the raw line, but only where code remains.
+        if line.lstrip().startswith("#") and PSIM_INCLUDE_RE.search(raw[idx]):
+            detail = "includes psim/parallel_sim.hh"
+        elif PARALLEL_CALL_RE.search(line):
+            detail = "asks Simulation::parallel()"
+        else:
+            continue
+        if allow_for(raw, idx, "kernel-seam", path, findings):
+            continue
+        findings.report(path, idx + 1, "kernel-seam",
+                        f"{detail}; reach other partitions through "
+                        "Simulation's send/deliver/atBarrier")
+
+
 def check_unused_allows(paths, findings):
     """Report lint-allow annotations that suppress nothing."""
     for path in paths:
@@ -294,6 +335,8 @@ def main():
     findings = Findings()
     for _, paths in sorted(groups.items()):
         scan_group(paths, findings)
+    for path in files:
+        check_kernel_seam(path, path.relative_to(src).as_posix(), findings)
     check_unused_allows(files, findings)
 
     for message in findings.messages:
