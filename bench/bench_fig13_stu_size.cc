@@ -7,7 +7,9 @@
  * helps.
  */
 
+#include <algorithm>
 #include <iostream>
+#include <tuple>
 
 #include "harness/executor.hh"
 #include "harness/figure_report.hh"
@@ -18,40 +20,12 @@ using namespace famsim;
 
 namespace {
 
-/**
- * One (I-FAM, DeACT-N) config pair per profile, in group order; the
- * flat list feeds one SweepExecutor fan-out so every point of the
- * figure runs concurrently under --sweep-jobs.
- */
-void
-appendGroupPair(std::vector<SystemConfig>& configs,
-                const std::vector<famsim::StreamProfile>& group,
-                std::size_t stu_entries, std::size_t assoc,
-                std::uint64_t instr)
-{
-    for (const auto& profile : group) {
-        for (ArchKind arch : {ArchKind::IFam, ArchKind::DeactN}) {
-            SystemConfig config = makeConfig(profile, arch, instr);
-            config.stu.entries = stu_entries;
-            config.stu.assoc = assoc;
-            configs.push_back(std::move(config));
-        }
-    }
-}
-
-/** Consume one group's (I-FAM, DeACT-N) result pairs -> geomean speedup. */
-double
-groupSpeedup(const std::vector<RunResult>& results, std::size_t& cursor,
-             std::size_t group_size)
-{
-    std::vector<double> speedups;
-    for (std::size_t p = 0; p < group_size; ++p) {
-        double i = results[cursor++].ipc;
-        double d = results[cursor++].ipc;
-        speedups.push_back(i > 0 ? d / i : 0.0);
-    }
-    return geomean(speedups);
-}
+/** One row: its label and the (base, test) variants it compares. */
+struct Row {
+    std::string label;
+    std::size_t base;
+    std::size_t test;
+};
 
 } // namespace
 
@@ -60,46 +34,47 @@ main(int argc, char** argv)
 {
     BenchOptions options = parseBenchArgs(argc, argv, 150000);
     ScopedQuietLogs quiet;
-    auto groups = sensitivityGroups();
+    const ProfileGroups groups = sensitivityGroups();
 
-    std::vector<std::string> group_names;
-    for (const auto& [name, group] : groups)
-        group_names.push_back(name);
-
-    FigureReport report(
-        "fig13_stu_size",
-        "Fig. 13: DeACT-N speedup wrt I-FAM vs STU size", "entries",
-        group_names);
+    // Each (architecture, STU entries, ways) variant the two studies
+    // plot, listed once: the 1024-entry 8-way pair serves both.
+    std::vector<std::tuple<ArchKind, std::size_t, std::size_t>> variants;
+    auto variantOf = [&variants](ArchKind arch, std::size_t entries,
+                                 std::size_t ways) {
+        const auto variant = std::tuple{arch, entries, ways};
+        auto it = std::find(variants.begin(), variants.end(), variant);
+        if (it == variants.end())
+            it = variants.insert(it, variant);
+        return static_cast<std::size_t>(it - variants.begin());
+    };
+    auto rowOf = [&variantOf](std::size_t label, std::size_t entries,
+                              std::size_t ways) {
+        return Row{std::to_string(label),
+                   variantOf(ArchKind::IFam, entries, ways),
+                   variantOf(ArchKind::DeactN, entries, ways)};
+    };
     // The axis comes from the sweep registry so the bench curve and
     // the golden-pinned fig13_stu_entries sweep cover the same points.
-    const Sweep& axis_source =
-        SweepRegistry::paper().byName("fig13_stu_entries");
-
-    // The companion associativity study is emitted in table mode and
-    // (as a sibling fig13_stu_assoc.json) in JSON+--out mode; only
-    // plain --json to stdout skips its simulations, since a single
-    // JSON object can't carry a second figure.
-    FigureReport assoc_report(
-        "fig13_stu_assoc",
-        "SV-D1: DeACT-N speedup wrt I-FAM vs STU associativity",
-        "assoc", group_names);
-    const bool with_assoc = !options.json || !options.outPath.empty();
-
-    // Flatten both studies into one config list, fan it out once, then
-    // reassemble rows from the slot-ordered results.
-    std::vector<SystemConfig> configs;
-    for (const auto& point : axis_source.axis.points) {
+    std::vector<Row> size_rows;
+    for (const auto& point :
+         SweepRegistry::paper().byName("fig13_stu_entries").axis.points) {
         auto entries = static_cast<std::size_t>(point.value);
-        for (const auto& [name, group] : groups)
-            appendGroupPair(configs, group, entries, 8,
-                            options.instructions);
+        size_rows.push_back(rowOf(entries, entries, 8));
     }
-    const std::vector<std::size_t> assocs = {4, 8, 32};
-    if (with_assoc) {
-        for (std::size_t assoc : assocs) {
-            for (const auto& [name, group] : groups)
-                appendGroupPair(configs, group, 1024, assoc,
-                                options.instructions);
+    std::vector<Row> assoc_rows;
+    for (std::size_t ways : {4u, 8u, 32u})
+        assoc_rows.push_back(rowOf(ways, 1024, ways));
+
+    std::vector<SystemConfig> configs;
+    for (const auto& [arch, entries, ways] : variants) {
+        for (const auto& [name, group] : groups) {
+            for (const auto& profile : group) {
+                SystemConfig config =
+                    makeConfig(profile, arch, options.instructions);
+                config.stu.entries = entries;
+                config.stu.assoc = ways;
+                configs.push_back(std::move(config));
+            }
         }
     }
     std::cerr << "fig13: " << configs.size() << " runs across "
@@ -108,27 +83,27 @@ main(int argc, char** argv)
     const std::vector<RunResult> results =
         executor.runResults(configs, 0);
 
-    std::size_t cursor = 0;
-    for (const auto& point : axis_source.axis.points) {
-        auto entries = static_cast<std::size_t>(point.value);
-        std::vector<double> row;
-        for (const auto& [name, group] : groups)
-            row.push_back(groupSpeedup(results, cursor, group.size()));
-        report.addRow(std::to_string(entries), row);
-    }
+    std::vector<std::string> group_names;
+    for (const auto& [name, group] : groups)
+        group_names.push_back(name);
+    FigureReport report(
+        "fig13_stu_size",
+        "Fig. 13: DeACT-N speedup wrt I-FAM vs STU size", "entries",
+        group_names);
+    for (const Row& row : size_rows)
+        report.addRow(row.label,
+                      groupSpeedups(groups, results, row.base, row.test));
     report.addNote("paper: speedup shrinks as the STU grows; PARSEC "
                    "3.45x at 256 -> 1.75x at 4096");
 
-    if (with_assoc) {
-        for (std::size_t assoc : assocs) {
-            std::vector<double> row;
-            for (const auto& [name, group] : groups)
-                row.push_back(
-                    groupSpeedup(results, cursor, group.size()));
-            assoc_report.addRow(std::to_string(assoc), row);
-        }
-        assoc_report.addNote("paper: improvement decreases and "
-                             "saturates with associativity");
-    }
+    FigureReport assoc_report(
+        "fig13_stu_assoc",
+        "SV-D1: DeACT-N speedup wrt I-FAM vs STU associativity",
+        "assoc", group_names);
+    for (const Row& row : assoc_rows)
+        assoc_report.addRow(
+            row.label, groupSpeedups(groups, results, row.base, row.test));
+    assoc_report.addNote("paper: improvement decreases and saturates "
+                         "with associativity");
     return emitReports({&report, &assoc_report}, options);
 }

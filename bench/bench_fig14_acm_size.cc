@@ -7,7 +7,9 @@
  * while DeACT-N improves with more pairs per way.
  */
 
+#include <algorithm>
 #include <iostream>
+#include <tuple>
 
 #include "harness/executor.hh"
 #include "harness/figure_report.hh"
@@ -18,41 +20,12 @@ using namespace famsim;
 
 namespace {
 
-/**
- * One (I-FAM, test-arch) config pair per profile, in group order; the
- * flat list feeds one SweepExecutor fan-out so the whole figure runs
- * concurrently under --sweep-jobs.
- */
-void
-appendGroupPair(std::vector<SystemConfig>& configs,
-                const std::vector<famsim::StreamProfile>& group,
-                ArchKind arch, unsigned acm_bits, unsigned pairs,
-                std::uint64_t instr)
-{
-    for (const auto& profile : group) {
-        SystemConfig ifam = makeConfig(profile, ArchKind::IFam, instr);
-        ifam.stu.acmBits = acm_bits;
-        SystemConfig test = makeConfig(profile, arch, instr);
-        test.stu.acmBits = acm_bits;
-        test.stu.pairsPerWay = pairs;
-        configs.push_back(std::move(ifam));
-        configs.push_back(std::move(test));
-    }
-}
-
-/** Consume one group's (I-FAM, test) result pairs -> geomean speedup. */
-double
-groupSpeedup(const std::vector<RunResult>& results, std::size_t& cursor,
-             std::size_t group_size)
-{
-    std::vector<double> speedups;
-    for (std::size_t p = 0; p < group_size; ++p) {
-        double i = results[cursor++].ipc;
-        double d = results[cursor++].ipc;
-        speedups.push_back(i > 0 ? d / i : 0.0);
-    }
-    return geomean(speedups);
-}
+/** One row: its label and the (base, test) variants it compares. */
+struct Row {
+    std::string label;
+    std::size_t base;
+    std::size_t test;
+};
 
 } // namespace
 
@@ -61,48 +34,56 @@ main(int argc, char** argv)
 {
     BenchOptions options = parseBenchArgs(argc, argv, 150000);
     ScopedQuietLogs quiet;
-    auto groups = sensitivityGroups();
+    const ProfileGroups groups = sensitivityGroups();
 
-    std::vector<std::string> group_names;
-    for (const auto& [name, group] : groups)
-        group_names.push_back(name);
-
-    FigureReport report("fig14_acm_size",
-                        "Fig. 14: speedup wrt I-FAM vs ACM width",
-                        "config", group_names);
+    // Each (architecture, ACM bits, pairs per way) variant the two
+    // studies plot, listed once: the I-FAM run at a width is the
+    // baseline of every row at that width, and DeACT-N at 16 bits with
+    // 2 pairs serves both studies. I-FAM has no pairs and keeps the
+    // default count.
+    std::vector<std::tuple<ArchKind, unsigned, unsigned>> variants;
+    auto variantOf = [&variants](ArchKind arch, unsigned bits,
+                                 unsigned pairs) {
+        const auto variant = std::tuple{arch, bits, pairs};
+        auto it = std::find(variants.begin(), variants.end(), variant);
+        if (it == variants.end())
+            it = variants.insert(it, variant);
+        return static_cast<std::size_t>(it - variants.begin());
+    };
+    const unsigned default_pairs = StuParams{}.pairsPerWay;
     // The axis comes from the sweep registry so the bench curve and
     // the golden-pinned fig14_acm_size sweep cover the same widths.
-    const Sweep& axis_source =
-        SweepRegistry::paper().byName("fig14_acm_size");
-
-    // The companion pairs study is emitted in table mode and (as a
-    // sibling fig14_acm_pairs.json) in JSON+--out mode; only plain
-    // --json to stdout skips its simulations, since a single JSON
-    // object can't carry a second figure.
-    FigureReport pairs_report(
-        "fig14_acm_pairs",
-        "SV-D2: DeACT-N speedup wrt I-FAM vs (tag,ACM) pairs per way",
-        "pairs", group_names);
-    const bool with_pairs = !options.json || !options.outPath.empty();
-
-    // Flatten both studies into one config list, fan it out once, then
-    // reassemble rows from the slot-ordered results.
-    std::vector<SystemConfig> configs;
-    for (const auto& point : axis_source.axis.points) {
+    std::vector<Row> width_rows;
+    for (const auto& point :
+         SweepRegistry::paper().byName("fig14_acm_size").axis.points) {
         auto bits = static_cast<unsigned>(point.value);
         for (ArchKind arch : {ArchKind::DeactW, ArchKind::DeactN}) {
-            for (const auto& [name, group] : groups)
-                appendGroupPair(configs, group, arch, bits, /*pairs=*/2,
-                                options.instructions);
+            width_rows.push_back(
+                {std::string(toString(arch)) + "/" +
+                     std::to_string(bits) + "b",
+                 variantOf(ArchKind::IFam, bits, default_pairs),
+                 variantOf(arch, bits, /*pairs=*/2)});
         }
     }
-    const std::vector<unsigned> pair_counts = {1, 2, 3};
-    if (with_pairs) {
-        for (unsigned pairs : pair_counts) {
-            for (const auto& [name, group] : groups)
-                appendGroupPair(configs, group, ArchKind::DeactN,
-                                /*bits=*/pairs == 2 ? 16u : 8u, pairs,
-                                options.instructions);
+    std::vector<Row> pairs_rows;
+    for (unsigned pairs : {1u, 2u, 3u}) {
+        const unsigned bits = pairs == 2 ? 16 : 8;
+        pairs_rows.push_back(
+            {std::to_string(pairs),
+             variantOf(ArchKind::IFam, bits, default_pairs),
+             variantOf(ArchKind::DeactN, bits, pairs)});
+    }
+
+    std::vector<SystemConfig> configs;
+    for (const auto& [arch, bits, pairs] : variants) {
+        for (const auto& [name, group] : groups) {
+            for (const auto& profile : group) {
+                SystemConfig config =
+                    makeConfig(profile, arch, options.instructions);
+                config.stu.acmBits = bits;
+                config.stu.pairsPerWay = pairs;
+                configs.push_back(std::move(config));
+            }
         }
     }
     std::cerr << "fig14: " << configs.size() << " runs across "
@@ -111,33 +92,26 @@ main(int argc, char** argv)
     const std::vector<RunResult> results =
         executor.runResults(configs, 0);
 
-    std::size_t cursor = 0;
-    for (const auto& point : axis_source.axis.points) {
-        auto bits = static_cast<unsigned>(point.value);
-        for (ArchKind arch : {ArchKind::DeactW, ArchKind::DeactN}) {
-            std::vector<double> row;
-            for (const auto& [name, group] : groups)
-                row.push_back(
-                    groupSpeedup(results, cursor, group.size()));
-            report.addRow(std::string(toString(arch)) + "/" +
-                              std::to_string(bits) + "b",
-                          row);
-        }
-    }
+    std::vector<std::string> group_names;
+    for (const auto& [name, group] : groups)
+        group_names.push_back(name);
+    FigureReport report("fig14_acm_size",
+                        "Fig. 14: speedup wrt I-FAM vs ACM width",
+                        "config", group_names);
+    for (const Row& row : width_rows)
+        report.addRow(row.label,
+                      groupSpeedups(groups, results, row.base, row.test));
     report.addNote("paper: DeACT-W nearly flat across widths — random "
                    "allocation defeats contiguous ACM caching");
 
-    if (with_pairs) {
-        for (unsigned pairs : pair_counts) {
-            std::vector<double> row;
-            for (const auto& [name, group] : groups)
-                row.push_back(
-                    groupSpeedup(results, cursor, group.size()));
-            pairs_report.addRow(std::to_string(pairs), row);
-        }
-        pairs_report.addNote("paper: more pairs per way -> more ACM "
-                             "reach -> higher speedup; one pair ~ "
-                             "DeACT-W");
-    }
+    FigureReport pairs_report(
+        "fig14_acm_pairs",
+        "SV-D2: DeACT-N speedup wrt I-FAM vs (tag,ACM) pairs per way",
+        "pairs", group_names);
+    for (const Row& row : pairs_rows)
+        pairs_report.addRow(
+            row.label, groupSpeedups(groups, results, row.base, row.test));
+    pairs_report.addNote("paper: more pairs per way -> more ACM reach -> "
+                         "higher speedup; one pair ~ DeACT-W");
     return emitReports({&report, &pairs_report}, options);
 }

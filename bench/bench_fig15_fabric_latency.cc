@@ -19,11 +19,7 @@ main(int argc, char** argv)
 {
     BenchOptions options = parseBenchArgs(argc, argv, 150000);
     ScopedQuietLogs quiet;
-    auto groups = sensitivityGroups();
-
-    std::vector<std::string> group_names;
-    for (const auto& [name, group] : groups)
-        group_names.push_back(name);
+    const ProfileGroups groups = sensitivityGroups();
 
     // Deliberately denser than the fig15_fabric_latency sweep (which
     // pins {100ns, 500ns, 1us, 3us, 6us} for regression): the bench
@@ -35,24 +31,19 @@ main(int argc, char** argv)
         {"6us", 6 * kMicrosecond},
     };
 
-    // Flatten the whole grid into one (I-FAM, DeACT-N)-pair list and
-    // fan it out through the executor (--sweep-jobs workers); rows are
-    // reassembled from the slot-ordered results below.
+    // Variant 2l is I-FAM at latency point l and 2l + 1 is DeACT-N.
     std::vector<SystemConfig> configs;
     for (const auto& [label, latency] : points) {
-        for (const auto& [name, group] : groups) {
-            for (const auto& profile : group) {
-                SystemConfig ifam = makeConfig(profile, ArchKind::IFam,
-                                               options.instructions);
-                // Keep the node-STU hop fixed, sweep the long haul.
-                ifam.fabric.latency = longHaulFabricLatency(
-                    latency, ifam.stu.nodeLinkLatency);
-                SystemConfig deact =
-                    makeConfig(profile, ArchKind::DeactN,
-                               options.instructions);
-                deact.fabric.latency = ifam.fabric.latency;
-                configs.push_back(std::move(ifam));
-                configs.push_back(std::move(deact));
+        for (ArchKind arch : {ArchKind::IFam, ArchKind::DeactN}) {
+            for (const auto& [name, group] : groups) {
+                for (const auto& profile : group) {
+                    SystemConfig config =
+                        makeConfig(profile, arch, options.instructions);
+                    // Keep the node-STU hop fixed, sweep the long haul.
+                    config.fabric.latency = longHaulFabricLatency(
+                        latency, config.stu.nodeLinkLatency);
+                    configs.push_back(std::move(config));
+                }
             }
         }
     }
@@ -62,24 +53,16 @@ main(int argc, char** argv)
     const std::vector<RunResult> results =
         executor.runResults(configs, 0);
 
+    std::vector<std::string> group_names;
+    for (const auto& [name, group] : groups)
+        group_names.push_back(name);
     FigureReport report(
         "fig15_fabric_latency",
         "Fig. 15: DeACT-N speedup wrt I-FAM vs fabric latency",
         "latency", group_names);
-    std::size_t cursor = 0;
-    for (const auto& [label, latency] : points) {
-        std::vector<double> row;
-        for (const auto& [name, group] : groups) {
-            std::vector<double> speedups;
-            for (std::size_t p = 0; p < group.size(); ++p) {
-                double i = results[cursor++].ipc;
-                double d = results[cursor++].ipc;
-                speedups.push_back(i > 0 ? d / i : 0.0);
-            }
-            row.push_back(geomean(speedups));
-        }
-        report.addRow(label, row);
-    }
+    for (std::size_t l = 0; l < std::size(points); ++l)
+        report.addRow(points[l].first,
+                      groupSpeedups(groups, results, 2 * l, 2 * l + 1));
     report.addNote("paper: speedup rises with latency; 1.79x at 100 ns "
                    "-> 3.3x at 6 us for pf");
     return emitReport(report, options);

@@ -8,6 +8,7 @@
 
 #include <iostream>
 
+#include "harness/executor.hh"
 #include "harness/figure_report.hh"
 #include "harness/runner.hh"
 
@@ -18,17 +19,25 @@ main(int argc, char** argv)
 {
     BenchOptions options = parseBenchArgs(argc, argv, 200000);
     ScopedQuietLogs quiet;
+    const std::vector<StreamProfile> benches = profiles::all();
+
+    std::vector<SystemConfig> configs;
+    for (const auto& profile : benches)
+        configs.push_back(
+            makeConfig(profile, ArchKind::EFam, options.instructions));
+    std::cerr << "table3: " << configs.size() << " runs across "
+              << options.sweepJobs << " sweep jobs...\n";
+    SweepExecutor executor(options.sweepJobs);
+    const std::vector<RunResult> results =
+        executor.runResults(configs, 0);
 
     FigureReport report("table3_applications",
                         "Table III: applications and MPKI", "bench",
                         {"paper MPKI", "measured", "AT-sensitive"});
-    for (const auto& profile : profiles::all()) {
-        std::cerr << "table3: " << profile.name << "...\n";
-        RunResult r = runOne(
-            makeConfig(profile, ArchKind::EFam, options.instructions));
-        report.addRow(profile.name,
-                      {profile.paperMpki, r.mpki,
-                       profile.atSensitive ? 1.0 : 0.0});
+    for (std::size_t b = 0; b < benches.size(); ++b) {
+        report.addRow(benches[b].name,
+                      {benches[b].paperMpki, results[b].mpki,
+                       benches[b].atSensitive ? 1.0 : 0.0});
     }
     report.addNote("suite mapping: mcf/cactus/astar SPEC2006; "
                    "frqm/canl PARSEC; bc/cc/ccsv/sssp GAP; pf Mantevo; "

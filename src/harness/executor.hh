@@ -71,8 +71,9 @@ class SweepExecutor
                      unsigned threads = 0);
 
     /**
-     * Build, run and summarize every configuration (the bench_fig13-16
-     * fan-out), results in slot order.
+     * Build, run and summarize every configuration, results in slot
+     * order: the fan-out of every bench that runs simulations
+     * (bench_fig12-16, bench_table3).
      */
     [[nodiscard]] std::vector<RunResult>
     runResults(const std::vector<SystemConfig>& configs,

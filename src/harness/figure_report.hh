@@ -109,7 +109,8 @@ int emitReport(const FigureReport& report, const BenchOptions& options);
  * the requested destination; with --out each companion report is
  * written to a sibling file named "<figure-id>.json" in the same
  * directory, keeping every file one JSON object. For benches with
- * companion studies (Fig. 13's associativity, Fig. 14's pairs).
+ * companion reports: bench_fig12_performance's Figs. 3, 4 and 9-11,
+ * Fig. 13's associativity study and Fig. 14's pairs study.
  */
 int emitReports(const std::vector<const FigureReport*>& reports,
                 const BenchOptions& options);

@@ -135,12 +135,12 @@ longHaulFabricLatency(Tick total, Tick node_link)
     return total > node_link ? total - node_link : total / 2;
 }
 
-std::map<std::string, std::vector<StreamProfile>>
+ProfileGroups
 sensitivityGroups()
 {
     // Fig. 13-15 report geometric means of the SPEC, PARSEC and GAP
     // suites plus pf and dc individually (§V-D).
-    std::map<std::string, std::vector<StreamProfile>> groups;
+    ProfileGroups groups;
     for (const auto& p : profiles::all()) {
         if (p.suite == "SPEC" || p.suite == "PARSEC" || p.suite == "GAP")
             groups[p.suite].push_back(p);
@@ -148,6 +148,29 @@ sensitivityGroups()
             groups[p.name].push_back(p);
     }
     return groups;
+}
+
+std::vector<double>
+groupSpeedups(const ProfileGroups& groups,
+              const std::vector<RunResult>& results, std::size_t base,
+              std::size_t test)
+{
+    std::size_t block = 0;
+    for (const auto& [name, group] : groups)
+        block += group.size();
+    std::size_t b = base * block;
+    std::size_t t = test * block;
+    std::vector<double> row;
+    for (const auto& [name, group] : groups) {
+        std::vector<double> speedups;
+        for (std::size_t p = 0; p < group.size(); ++p) {
+            const double i = results.at(b++).ipc;
+            const double d = results.at(t++).ipc;
+            speedups.push_back(i > 0 ? d / i : 0.0);
+        }
+        row.push_back(geomean(speedups));
+    }
+    return row;
 }
 
 } // namespace famsim

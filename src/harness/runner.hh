@@ -105,9 +105,24 @@ parseUnsigned(std::string_view text);
  */
 inline constexpr Tick kContendedFabricSerialization = 6 * kNanosecond;
 
+/** Benchmark profiles by group name. */
+using ProfileGroups = std::map<std::string, std::vector<StreamProfile>>;
+
 /** Profiles grouped per the sensitivity figures (suites + pf + dc). */
-[[nodiscard]] std::map<std::string, std::vector<StreamProfile>>
-sensitivityGroups();
+[[nodiscard]] ProfileGroups sensitivityGroups();
+
+/**
+ * One row of a sensitivity figure (Figs. 13-15): for each group of
+ * @p groups, the geomean over its profiles of the speedup of variant
+ * @p test over variant @p base (test IPC / base IPC; 0, which geomean
+ * skips, where the base IPC is 0). @p results holds one block per
+ * configuration variant, each block one result per profile in the
+ * groups' order; @p base and @p test are block indices.
+ */
+[[nodiscard]] std::vector<double>
+groupSpeedups(const ProfileGroups& groups,
+              const std::vector<RunResult>& results, std::size_t base,
+              std::size_t test);
 
 } // namespace famsim
 

@@ -15,14 +15,6 @@ namespace famsim {
 
 namespace {
 
-/**
- * Scenario runs are regression baselines: the budget is fixed here
- * (never via FAMSIM_INSTR) so the exported stats are reproducible on
- * every machine. Large enough for the translation structures to reach
- * steady state, small enough that the whole suite runs in seconds.
- */
-constexpr std::uint64_t kScenarioInstructions = 60000;
-
 Scenario
 makeScenario(const std::string& figure, const std::string& description,
              const std::string& headline_metric, const std::string& bench,
@@ -61,6 +53,24 @@ makeTenantScenario(const std::string& tag, const std::string& description,
     s.config.tenancy = tenancy;
     s.config.migrations = std::move(migrations);
     return s;
+}
+
+/**
+ * File name of one core's trace inside a capture directory:
+ * "node<i>.core<j>.trace[.gz|.txt]".
+ */
+std::string
+traceFileName(unsigned node, unsigned core,
+              TraceFormat format = TraceFormat::Binary)
+{
+    std::string name = "node" + std::to_string(node) + ".core" +
+                       std::to_string(core) + ".trace";
+    switch (format) {
+      case TraceFormat::Binary: break;
+      case TraceFormat::Gzip: name += ".gz"; break;
+      case TraceFormat::Text: name += ".txt"; break;
+    }
+    return name;
 }
 
 /**
@@ -523,19 +533,14 @@ runScenarioJson(const Scenario& scenario, unsigned threads)
 
 // ------------------------------------------------ trace capture/replay
 
-std::string
-traceFileName(unsigned node, unsigned core, TraceFormat format)
-{
-    std::string name = "node" + std::to_string(node) + ".core" +
-                       std::to_string(core) + ".trace";
-    switch (format) {
-      case TraceFormat::Binary: break;
-      case TraceFormat::Gzip: name += ".gz"; break;
-      case TraceFormat::Text: name += ".txt"; break;
-    }
-    return name;
-}
+namespace {
 
+/**
+ * Copy of @p config whose cores record the streams they consume into
+ * per-core trace files under @p dir (see traceFileName) while running
+ * — recording wraps the configured workload (factory or synthetic),
+ * so the recording run's stats are identical to the unwrapped run's.
+ */
 SystemConfig
 withTraceRecording(const SystemConfig& config, const std::string& dir,
                    TraceFormat format)
@@ -563,6 +568,13 @@ withTraceRecording(const SystemConfig& config, const std::string& dir,
     return out;
 }
 
+/**
+ * Copy of @p config whose cores replay the per-core traces under
+ * @p dir (any supported format). Replaying a directory recorded with
+ * withTraceRecording reproduces the original run bit-identically: the
+ * op streams are the consumed prefixes and the traces carry the full
+ * prefault footprint.
+ */
 SystemConfig
 withTraceReplay(const SystemConfig& config, const std::string& dir)
 {
@@ -583,6 +595,8 @@ withTraceReplay(const SystemConfig& config, const std::string& dir)
     };
     return out;
 }
+
+} // namespace
 
 std::string
 recordScenarioTraces(const Scenario& scenario, const std::string& dir,

@@ -27,6 +27,16 @@
 
 namespace famsim {
 
+/**
+ * Scenario runs are regression baselines: the budget is fixed here
+ * (never via FAMSIM_INSTR) so the exported stats are reproducible on
+ * every machine. Large enough for the translation structures to reach
+ * steady state, small enough that the whole suite runs in seconds.
+ * The fig16 scaling-extension sweep points (n16/n32/n64) run at it
+ * too.
+ */
+inline constexpr std::uint64_t kScenarioInstructions = 60000;
+
 /** One named paper configuration, ready to run. */
 struct Scenario {
     /** Unique id, e.g. "fig09_acm_hit_rate.mcf.deactn". */
@@ -114,36 +124,9 @@ void writeScenarioJson(std::ostream& os, const Scenario& scenario,
 // ------------------------------------------------ trace capture/replay
 
 /**
- * File name of one core's trace inside a capture directory:
- * "node<i>.core<j>.trace[.gz|.txt]".
- */
-[[nodiscard]] std::string
-traceFileName(unsigned node, unsigned core,
-              TraceFormat format = TraceFormat::Binary);
-
-/**
- * Copy of @p config whose cores record the streams they consume into
- * per-core trace files under @p dir (see traceFileName) while running
- * — recording wraps the configured workload (factory or synthetic),
- * so the recording run's stats are identical to the unwrapped run's.
- */
-[[nodiscard]] SystemConfig
-withTraceRecording(const SystemConfig& config, const std::string& dir,
-                   TraceFormat format = TraceFormat::Binary);
-
-/**
- * Copy of @p config whose cores replay the per-core traces under
- * @p dir (any supported format). Replaying a directory recorded with
- * withTraceRecording reproduces the original run bit-identically: the
- * op streams are the consumed prefixes and the traces carry the full
- * prefault footprint.
- */
-[[nodiscard]] SystemConfig
-withTraceReplay(const SystemConfig& config, const std::string& dir);
-
-/**
  * Run @p scenario with per-core trace recording into @p dir (created
- * if missing) and return its stats JSON — byte-identical to
+ * if missing; one "node<i>.core<j>.trace[.gz|.txt]" file per core)
+ * and return its stats JSON — byte-identical to
  * runScenarioJson(scenario, threads), recording is observation-only.
  */
 [[nodiscard]] std::string

@@ -20,10 +20,6 @@ namespace {
  */
 constexpr std::uint64_t kSweepInstructions = 24000;
 
-/** The headline-scenario budget (scenario.cc), used by the fig16
- *  scaling extension points (n16/n32/n64). */
-constexpr std::uint64_t kScenarioBudget = 60000;
-
 SystemConfig
 sweepBase(const std::string& bench, ArchKind arch)
 {
@@ -145,7 +141,7 @@ buildPaperSweeps()
                 {"n" + std::to_string(nodes),
                  static_cast<double>(nodes), [nodes](SystemConfig& c) {
                      c.nodes = nodes;
-                     c.core.instructionLimit = kScenarioBudget;
+                     c.core.instructionLimit = kScenarioInstructions;
                  }});
         }
         reg.add(std::move(sweep));

@@ -63,13 +63,16 @@ Stu::Stu(Simulation& sim, const std::string& name, const StuParams& params,
             sets, params.assoc, ReplPolicy::Lru, sim.seed());
         break;
       case StuOrg::DeactW:
-        wCache_ = std::make_unique<SetAssocCache<std::uint8_t>>(
+        // One way holds the ACM of wayGroupPages() *contiguous* pages.
+        acmKeyDivisor_ = params.wayGroupPages();
+        acmCache_ = std::make_unique<SetAssocCache<std::uint8_t>>(
             sets, params.assoc, ReplPolicy::Lru, sim.seed());
         break;
       case StuOrg::DeactN:
         FAMSIM_ASSERT(params.pairsPerWay >= 1 && params.pairsPerWay <= 3,
                       "DeACT-N supports 1..3 (tag, ACM) pairs per way");
-        nCache_ = std::make_unique<SetAssocCache<std::uint8_t>>(
+        // Sub-way pairs hold individual pages.
+        acmCache_ = std::make_unique<SetAssocCache<std::uint8_t>>(
             sets, params.assoc * params.pairsPerWay, ReplPolicy::Lru,
             sim.seed());
         break;
@@ -198,11 +201,13 @@ Stu::handleDeactUnverified(PktPtr pkt)
 void
 Stu::checkAccess(PktPtr pkt)
 {
+    FAMSIM_ASSERT(acmCache_, "ACM check in the I-FAM organization");
     std::uint64_t fam_page = pkt->fam.pageNumber();
+    std::uint64_t acm_key = fam_page / acmKeyDivisor_;
     ++acmLookups_;
     if (jobAcmLookups_)
         jobAcmLookups_->add(pkt->job);
-    if (acmLookup(fam_page)) {
+    if (acmCache_->lookup(acm_key)) {
         ++acmHits_;
         if (jobAcmHits_)
             jobAcmHits_->add(pkt->job);
@@ -215,43 +220,10 @@ Stu::checkAccess(PktPtr pkt)
     const Packet& origin = *pkt;
     sendFamAccess(origin, layout_.acmBlockForPage(fam_page), MemOp::Read,
                   PacketKind::Acm,
-                  [this, pkt = std::move(pkt), fam_page]() mutable {
-                      acmInstall(fam_page);
+                  [this, pkt = std::move(pkt), acm_key]() mutable {
+                      acmCache_->insert(acm_key, 1);
                       verifyAndForward(std::move(pkt));
                   });
-}
-
-bool
-Stu::acmLookup(std::uint64_t fam_page)
-{
-    switch (params_.org) {
-      case StuOrg::DeactW:
-        return wCache_->lookup(fam_page / params_.wayGroupPages()) !=
-               nullptr;
-      case StuOrg::DeactN:
-        return nCache_->lookup(fam_page) != nullptr;
-      case StuOrg::IFam:
-      default:
-        FAMSIM_PANIC("acmLookup in I-FAM organization");
-    }
-}
-
-void
-Stu::acmInstall(std::uint64_t fam_page)
-{
-    switch (params_.org) {
-      case StuOrg::DeactW:
-        // One way holds the ACM of wayGroupPages() *contiguous* pages.
-        wCache_->insert(fam_page / params_.wayGroupPages(), 1);
-        break;
-      case StuOrg::DeactN:
-        // Sub-way pairs hold individual pages.
-        nCache_->insert(fam_page, 1);
-        break;
-      case StuOrg::IFam:
-      default:
-        FAMSIM_PANIC("acmInstall in I-FAM organization");
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -514,10 +486,8 @@ Stu::invalidateNode(NodeId node)
         return;
     if (ifamCache_)
         ifamCache_->invalidateAll();
-    if (wCache_)
-        wCache_->invalidateAll();
-    if (nCache_)
-        nCache_->invalidateAll();
+    if (acmCache_)
+        acmCache_->invalidateAll();
     bitmapCache_.invalidateAll();
     famPtwCache_.invalidateAll();
 }

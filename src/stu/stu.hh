@@ -177,10 +177,6 @@ class Stu : public Component
     void checkBitmap(PktPtr pkt);
     void finishVerify(PktPtr pkt, bool allowed);
 
-    // -- ACM cache organization helpers ----------------------------------
-    bool acmLookup(std::uint64_t fam_page);
-    void acmInstall(std::uint64_t fam_page);
-
     // -- FAM forwarding ---------------------------------------------------
     /** Continuation of one STU-issued FAM read (walk step, ACM, bitmap). */
     using FamDone = InlineFunction<void(), 40>;
@@ -203,10 +199,14 @@ class Stu : public Component
 
     /** I-FAM: combined translation+ACM cache keyed by NPA page. */
     std::unique_ptr<SetAssocCache<IFamEntry>> ifamCache_;
-    /** DeACT-W: group-of-K-contiguous-pages ACM cache keyed by group. */
-    std::unique_ptr<SetAssocCache<std::uint8_t>> wCache_;
-    /** DeACT-N: per-page ACM cache (sub-way pairs) keyed by FAM page. */
-    std::unique_ptr<SetAssocCache<std::uint8_t>> nCache_;
+    /**
+     * DeACT ACM cache (null on I-FAM, whose ACM rides in ifamCache_):
+     * DeACT-W caches groups of wayGroupPages() contiguous pages, one
+     * per way; DeACT-N caches single pages in pairsPerWay sub-ways.
+     */
+    std::unique_ptr<SetAssocCache<std::uint8_t>> acmCache_;
+    /** FAM page / this = acmCache_ key: wayGroupPages() or 1. */
+    std::uint64_t acmKeyDivisor_ = 1;
     /** Shared-bitmap presence cache. */
     SetAssocCache<std::uint8_t> bitmapCache_;
     /** PTW cache for the FAM page table. */

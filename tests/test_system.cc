@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
+#include <stdexcept>
 
 #include "harness/figure_report.hh"
 #include "harness/runner.hh"
@@ -319,6 +321,32 @@ TEST(Harness, SensitivityGroupsMatchPaper)
     EXPECT_EQ(groups["GAP"].size(), 4u);
     EXPECT_EQ(groups["pf"].size(), 1u);
     EXPECT_EQ(groups["dc"].size(), 1u);
+}
+
+TEST(Harness, GroupSpeedupsCompareTwoVariantBlocks)
+{
+    const ProfileGroups groups = {
+        {"a", {profiles::byName("mcf"), profiles::byName("astar")}},
+        {"b", {profiles::byName("pf")}},
+    };
+    // Three variant blocks of one result per profile, in group order.
+    std::vector<RunResult> results(9);
+    const double ipcs[] = {1, 2, 4,  // block 0
+                           2, 8, 2,  // block 1
+                           0, 1, 1}; // block 2
+    for (std::size_t i = 0; i < results.size(); ++i)
+        results[i].ipc = ipcs[i];
+
+    const std::vector<double> row = groupSpeedups(groups, results, 0, 1);
+    ASSERT_EQ(row.size(), 2u);
+    EXPECT_NEAR(row[0], std::sqrt(2.0 * 4.0), 1e-12);
+    EXPECT_NEAR(row[1], 0.5, 1e-12);
+    // A zero base IPC gives speedup 0, which the geomean skips.
+    const std::vector<double> skipped = groupSpeedups(groups, results, 2, 1);
+    EXPECT_NEAR(skipped[0], 8.0, 1e-12);
+    EXPECT_NEAR(skipped[1], 2.0, 1e-12);
+    EXPECT_THROW((void)groupSpeedups(groups, results, 0, 3),
+                 std::out_of_range);
 }
 
 TEST(Harness, FigureReportPrintsAllRows)
