@@ -6,8 +6,9 @@
  * generation, EventQueue scheduling churn, raw RNG draws, the
  * end-to-end fig12 performance-scenario wall clock, the parallel
  * kernel against the serial one on the fig16 16/32/64-node points and
- * the one-node fig12 base point (speedup_parallel_* summaries,
- * reported only), System construction time and RSS growth at 1/16/64
+ * the one-node fig12 base point (speedup_parallel_* summaries; the
+ * fig16 n16 four-worker one is gated, the rest reported only), System
+ * construction time and RSS growth at 1/16/64
  * nodes (construct_*_fig16n* summaries, reported only), and the paper
  * sweep set exported at one sweep job and pooled (pooled_speedup).
  * Unlike the bench_fig* binaries this measures *host* speed (ns/op,
@@ -23,8 +24,11 @@
  * exports must be byte-identical, or the run exits 3. With --baseline
  * the run also exits 3 if any gated row's rel_cost regresses by more
  * than kRelCostTolerance against the same row in a previously exported
- * BENCH_hotpath.json, or if pooled_speedup falls below
- * kPooledSpeedupFloor less kPooledTolerance.
+ * BENCH_hotpath.json, if pooled_speedup falls below
+ * kPooledSpeedupFloor less kPooledTolerance, or if
+ * speedup_parallel_fig16n16_t4 falls below kParallelSpeedupFloor less
+ * kParallelTolerance (skipped on a host with fewer than four hardware
+ * threads).
  */
 
 #include <chrono>
@@ -33,6 +37,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -76,6 +81,17 @@ constexpr double kRelCostTolerance = 0.20;
  */
 constexpr double kPooledSpeedupFloor = 1.5;
 constexpr double kPooledTolerance = 0.25;
+
+/**
+ * The partitioned kernel at four workers must beat the serial kernel
+ * on fig16 n16 by this factor, less kParallelTolerance (so 1.2).
+ * 1.6 is rounded down from PLACEHOLDER. Like the pooled floor it
+ * lives here, not in the baseline file; a host with fewer than four
+ * hardware threads skips the gate.
+ */
+constexpr double kParallelSpeedupFloor = 1.6;
+constexpr double kParallelTolerance = 0.25;
+constexpr unsigned kParallelGateThreads = 4;
 
 volatile std::uint64_t g_sink = 0;
 
@@ -422,8 +438,9 @@ main(int argc, char** argv)
     // cores x 60k instructions) end to end, serial vs the sharded
     // windowed kernel at 1/2/4 workers. The speedup summaries are the
     // headline; like the wall-clock rows they depend on the host's
-    // core count (~1x on a single-core runner), so they are reported,
-    // not gated.
+    // core count (~1x on a single-core runner), so only the t4 one is
+    // gated, against a fixed floor, and only on a host with four
+    // hardware threads.
     const auto& points = SweepRegistry::paperPoints();
     const Scenario& n16 = points.byName("fig16_num_nodes.n16");
     const std::uint64_t fig16_ops = 16 * 4 * 60000;
@@ -517,6 +534,7 @@ main(int argc, char** argv)
                               std::to_string(kWorkerCounts[i]),
                           psim_serial_s / psim_t[i].seconds);
     }
+    const double parallel_speedup = psim_serial_s / psim_t[2].seconds;
     report.addSummary("windows_fig16n16_t4",
                       static_cast<double>(psim_t[2].windows));
     report.addSummary("profile_fig16n16_t4_wall_s",
@@ -564,7 +582,7 @@ main(int argc, char** argv)
         return rc;
 
     // --- regression gates: rel_cost against a prior export, and the
-    // fixed pooled-speedup floor ---
+    // fixed pooled and parallel speedup floors ---
     std::ifstream in(baseline_path);
     if (!in) {
         std::cerr << "bench_throughput: cannot read baseline '"
@@ -581,9 +599,9 @@ main(int argc, char** argv)
 
     bool failed = false;
     // Gated rows are single-threaded and deterministic in work, so
-    // rel_cost transfers across hosts; the parallel fig16 rows (t1..t4
-    // and the speedup/window summaries) depend on the runner's core
-    // count and are reported, not gated.
+    // rel_cost transfers across hosts; the parallel fig16 rows depend
+    // on the runner's core count, so only their t4 speedup is gated,
+    // as a ratio against a fixed floor, below.
     for (const char* row :
          {"set_assoc_lookup.lru", "set_assoc_lookup.random",
           "stream_gen.mcf", "event_queue.churn", "fig12_scenarios.e2e",
@@ -617,6 +635,27 @@ main(int argc, char** argv)
         std::cerr << "bench_throughput: REGRESSION on pooled_speedup "
                      "(allowed -" << kPooledTolerance * 100 << "%)\n";
         failed = true;
+    }
+
+    const unsigned host_threads = std::thread::hardware_concurrency();
+    if (host_threads < kParallelGateThreads) {
+        std::cerr << "gate speedup_parallel_fig16n16_t4: skipped, this "
+                     "host has "
+                  << host_threads << " hardware threads and the floor "
+                  << "needs " << kParallelGateThreads << "\n";
+    } else {
+        const double parallel_min =
+            kParallelSpeedupFloor * (1.0 - kParallelTolerance);
+        std::cerr << "gate speedup_parallel_fig16n16_t4: "
+                  << parallel_speedup << " vs floor "
+                  << kParallelSpeedupFloor << " (min " << parallel_min
+                  << ")\n";
+        if (parallel_speedup < parallel_min) {
+            std::cerr << "bench_throughput: REGRESSION on "
+                         "speedup_parallel_fig16n16_t4 (allowed -"
+                      << kParallelTolerance * 100 << "%)\n";
+            failed = true;
+        }
     }
     return failed ? 3 : 0;
 }

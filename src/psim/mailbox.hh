@@ -3,12 +3,15 @@
  * Cross-partition message types of the parallel simulation kernel.
  *
  * Every cross-partition event reaches its destination through that
- * partition's barrier inbox (NodeQueue::deliver): the coordinator
- * appends {delivery tick, continuation} between windows, and the
- * owning worker flushes the inbox into its own queue at the start of
- * its next window task. Two producers feed the inboxes, both on the
- * coordinator: the arbitration of fabric sends (an Arbiter turns each
- * send into a delivery tick) and global barrier ops.
+ * partition's barrier inbox, which the coordinator fills between
+ * windows and the owning worker flushes into its own queue at the
+ * start of its next window task. Two producers feed the inboxes, both
+ * on the coordinator. The arbitration of fabric sends (an Arbiter
+ * turns each send into a delivery tick) appends only an arrival record
+ * {tick, source partition, lane index} (NodeQueue::arrive): the
+ * continuation waits in its source's send lane, and the destination's
+ * flush moves it from there straight into its queue. Global barrier
+ * ops append {delivery tick, continuation} (NodeQueue::deliver).
  *
  * Payloads are InlineFunction, not std::function: std::function's
  * 16-byte inline buffer heap-allocated once per fabric crossing for
@@ -16,11 +19,11 @@
  * component pointer plus a packet handle, or an STU done-functor)
  * fits the kMailboxInlineBytes budget in place, and one that does not
  * fails to compile. A payload that owns a packet carries it across
- * partitions; the window barrier that hands over the inbox orders
- * that handoff like any other payload. makeDelivery() keeps the
- * continuation's concrete type, so the flush schedules it straight
- * into the event queue's pooled slots instead of nesting one
- * type-erased wrapper inside another.
+ * partitions; the window barriers between the send, the arbitration
+ * and the flush order that handoff like any other payload.
+ * makeDelivery() keeps the continuation's concrete type, so the flush
+ * schedules it straight into the event queue's pooled slots instead of
+ * nesting one type-erased wrapper inside another.
  */
 
 #ifndef FAMSIM_PSIM_MAILBOX_HH

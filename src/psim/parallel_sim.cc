@@ -38,7 +38,7 @@ ParallelSim::ParallelSim(Simulation& sim, const Topology& topo,
     parts_.reserve(partitions);
     for (std::uint32_t p = 0; p < partitions; ++p)
         parts_.push_back(std::make_unique<NodeQueue>(p));
-    arbIn_.resize(partitions);
+    lanes_.resize(partitions);
     globalIn_.resize(partitions);
     globalSeq_.assign(partitions, 0);
     sim_.setParallel(this);
@@ -61,37 +61,49 @@ ParallelSim::postArbitrated(Arbiter& arbiter, unsigned channel,
                   "arbitrated send on the edgeless partition pair ", src,
                   " -> ", dst);
     Tick sent = parts_[src]->queue().curTick();
-    arbIn_[src].push_back(
+    // The lane of this window's parity last held the sends of two
+    // windows ago, which their destinations moved out during the
+    // window between.
+    const std::uint64_t window = window_.epoch();
+    SendLane& lane = lanes_[src][window & 1];
+    if (lane.window != window) {
+        lane.sends.clear();
+        lane.window = window;
+    }
+    lane.sends.push_back(
         ArbSend{sent, dst, channel, &arbiter, std::move(fn)});
 }
 
 void
 ParallelSim::arbitrate()
 {
+    const std::uint64_t window = window_.epoch();
     arbScratch_.clear();
-    for (std::uint32_t src = 0; src < arbIn_.size(); ++src) {
-        const auto& sends = arbIn_[src];
-        for (std::uint32_t i = 0; i < sends.size(); ++i)
-            arbScratch_.push_back({{sends[i].sent, src}, i});
+    for (std::uint32_t src = 0; src < lanes_.size(); ++src) {
+        const SendLane& lane = lanes_[src][window & 1];
+        if (lane.window != window)
+            continue;
+        for (std::uint32_t i = 0; i < lane.sends.size(); ++i)
+            arbScratch_.push_back({{lane.sends[i].sent, src}, i});
     }
     // Merged (sent, srcPartition, seq) order across every source and
     // destination: the arbiters' shared state is touched by exactly
     // one thread (the coordinator), deterministically. Arbiters only
-    // return ticks, so nothing can append to the lanes meanwhile.
+    // return ticks, so nothing can append to the lanes meanwhile. The
+    // payloads stay put: each destination gets {tick, src, idx}, in
+    // this order, and moves its payloads itself.
     std::sort(arbScratch_.begin(), arbScratch_.end());
     for (const auto& [key, idx] : arbScratch_) {
         const std::uint32_t src = key.second;
-        ArbSend& send = arbIn_[src][idx];
+        const ArbSend& send = lanes_[src][window & 1].sends[idx];
         const Tick when = send.arbiter->arbitrate(send.channel, send.sent);
         const Tick earliest = SyncWindow::satAdd(
             send.sent, lookaheadBetween(src, send.dst));
         FAMSIM_ASSERT(when >= earliest, "arbitrated delivery at ", when,
                       " undercuts the ", src, " -> ", send.dst,
                       " edge lookahead (sent at ", send.sent, ")");
-        parts_[send.dst]->deliver(when, std::move(send.fn));
+        parts_[send.dst]->arrive(when, src, idx);
     }
-    for (auto& sends : arbIn_)
-        sends.clear();
 }
 
 void
@@ -166,9 +178,9 @@ Tick
 ParallelSim::minPendingTick() const
 {
     // Each partition's scan covers its queue and its inbox minimum
-    // (this barrier's deliveries: arbitrate() ran right before, so the
-    // arbitration lanes are empty). pendingGlobal_ is sorted by (due,
-    // src, seq), so its minimum is the first element.
+    // (this barrier's arrivals: arbitrate() ran right before, so every
+    // send of the last window has its record). pendingGlobal_ is
+    // sorted by (due, src, seq), so its minimum is the first element.
     Tick next = EventQueue::kForever;
     for (const auto& part : parts_)
         next = std::min(next, part->minPendingTick());
@@ -214,9 +226,9 @@ ParallelSim::run()
     for (;;) {
         Profiler::Timer coord;
         collectGlobalOps();
-        // Arbitrate all queued fabric sends first: the deliveries land
-        // in their destination inboxes, so the window scan below sees
-        // real delivery ticks instead of conservative floors.
+        // Arbitrate all queued fabric sends first: the arrival records
+        // land in their destination inboxes, so the window scan below
+        // sees real delivery ticks instead of conservative floors.
         arbitrate();
         const Tick next = minPendingTick();
         if (next == EventQueue::kForever) {
@@ -235,11 +247,19 @@ ParallelSim::run()
                         "psim.window", start, end);
         }
         // One epoch per window: each task flushes its partition's
-        // inbox, then executes the window. The coordinator, the only
-        // inbox producer, waits at the barrier meanwhile, so a flush
-        // never races an append; and a partition's execution only
-        // reaches other partitions through postArbitrated/postGlobal,
-        // which the next barrier consumes.
+        // inbox, moving its arrivals' payloads out of the sources'
+        // previous-parity lanes, then executes the window. The
+        // coordinator, the only inbox producer, waits at the barrier
+        // meanwhile, so a flush never races an append; the sources
+        // post into the other parity's lanes; and a partition's
+        // execution only reaches other partitions through
+        // postArbitrated/postGlobal, which the next barrier consumes.
+        const std::size_t arrived = (window_.epoch() - 1) & 1;
+        const auto payloadOf = [this, arrived](std::uint32_t src,
+                                               std::uint32_t idx)
+            -> const DeliverFn& {
+            return lanes_[src][arrived].sends[idx].fn;
+        };
         pool_.runEpoch(parts_.size(), [&](std::size_t p) {
             const auto part = static_cast<std::uint32_t>(p);
             {
@@ -247,10 +267,10 @@ ParallelSim::run()
                 std::uint64_t drained;
                 if (prof) {
                     Profiler::Timer t;
-                    drained = parts_[p]->flushInbox();
+                    drained = parts_[p]->flushInbox(payloadOf);
                     prof->addDrain(part, t.seconds());
                 } else {
-                    drained = parts_[p]->flushInbox();
+                    drained = parts_[p]->flushInbox(payloadOf);
                 }
                 // Partition-exclusive lane: only this worker, this
                 // epoch.

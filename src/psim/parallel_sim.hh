@@ -11,9 +11,11 @@
  * partitions only through Simulation's kernel seam (send, deliver,
  * atBarrier), whose psim halves call postArbitrated, deliver and
  * postGlobal here. Each partition owns a NodeQueue; a fixed WorkerPool
- * executes all partitions' events for one SyncWindow at a time,
- * entirely without locks, because every cross-partition interaction
- * has a floor latency given by the per-edge lookahead matrix:
+ * executes all partitions' events for one SyncWindow at a time (each
+ * worker runs the same home partitions every window and steals others
+ * only when its own run out), entirely without locks, because every
+ * cross-partition interaction has a floor latency given by the
+ * per-edge lookahead matrix:
  *
  *  - node <-> media: the fabric's one-way latency (request sends from
  *    the STU/E-FAM path, response sends from the media);
@@ -25,12 +27,16 @@
  * (channelFree) is one resource spanning every media partition, so
  * all sends from all sources are merged in (sendTick, srcPartition,
  * seq) order and an Arbiter turns each into a delivery tick,
- * single-threaded — and global barrier ops run. Both append their
- * deliveries to the destination partitions' barrier inboxes; each
- * window task then flushes its own inbox into its queue (the heap
- * pushes run in parallel) before executing the window. The schedule —
- * and therefore every statistic — is byte-identical for any worker
- * count.
+ * single-threaded — and global barrier ops run. The coordinator never
+ * moves a fabric payload: each source posts its sends into the lane
+ * of the current window's parity, the arbitration sorts only compact
+ * (sent, src, idx) keys and hands each destination an arrival record
+ * {tick, src, idx}, and in the next window the destination's own task
+ * moves each payload from the previous-parity lane straight into its
+ * queue, then flushes the barrier ops' deliveries from its inbox. A
+ * source clears a lane itself when it reuses it, two windows later.
+ * The schedule — and therefore every statistic — is byte-identical
+ * for any worker count.
  *
  * Windows have a fixed width, the base lookahead (the smallest edge
  * of the matrix): each opens at the global minimum pending tick and
@@ -187,17 +193,18 @@ class ParallelSim
      * @p dst: at the next barrier the coordinator merges every queued
      * send in (sendTick, srcPartition, seq) order, asks @p arbiter for
      * the delivery tick on @p channel, checks it against the (src,
-     * dst) edge lookahead and queues @p fn in @p dst's inbox. Used for
-     * the shared fabric's channel serialization, whose state spans
-     * every media partition.
+     * dst) edge lookahead and records the arrival in @p dst's inbox;
+     * @p fn waits in the caller's send lane until @p dst's next window
+     * task moves it into its queue. Used for the shared fabric's
+     * channel serialization, whose state spans every media partition.
      */
     void postArbitrated(Arbiter& arbiter, unsigned channel,
                         std::uint32_t dst, DeliverFn fn);
 
     /**
      * Barrier-time schedule (global ops only): run @p fn on partition
-     * @p dst at @p when. Goes through @p dst's inbox, behind this
-     * barrier's arbitrated deliveries, in call order.
+     * @p dst at @p when. Goes through @p dst's inbox, flushed behind
+     * this barrier's arbitrated arrivals, in call order.
      */
     void deliver(std::uint32_t dst, Tick when, DeliverFn fn);
 
@@ -235,13 +242,28 @@ class ParallelSim
         std::function<void()> fn;
     };
 
-    /** One queued arbitrated send (central lane, indexed by source). */
+    /** One queued arbitrated send, in its source's lane. */
     struct ArbSend {
         Tick sent;
         std::uint32_t dst;
         unsigned channel;
         Arbiter* arbiter;
         DeliverFn fn;
+    };
+
+    /**
+     * One of a source's two send lanes, picked by window parity. The
+     * source appends during window k, the coordinator reads the
+     * headers at the barrier after it, and the destinations move the
+     * payloads out during window k + 1; the source clears the lane
+     * when it next posts, in window k + 2 at the earliest. Each lane
+     * gets its own cache line, so a source's appends do not evict the
+     * header its destinations read in the other lane.
+     */
+    struct alignas(64) SendLane {
+        std::vector<ArbSend> sends;
+        /** The window whose sends the lane holds. */
+        std::uint64_t window = 0;
     };
 
     /**
@@ -286,8 +308,9 @@ class ParallelSim
      */
     [[nodiscard]] Tick nextGlobalDueAfter(Tick start) const;
 
-    /** Merge and arbitrate every queued send into the destination
-     *  inboxes, leaving the lanes empty (coordinator only). */
+    /** Merge and arbitrate the last window's sends into arrival
+     *  records in the destination inboxes (coordinator only); the
+     *  payloads stay in their lanes. */
     void arbitrate();
 
     void collectGlobalOps();
@@ -303,9 +326,10 @@ class ParallelSim
 
     std::vector<std::unique_ptr<NodeQueue>> parts_;
 
-    /** Central arbitration lanes, one per source partition:
-     *  single-producer, emptied by the coordinator at every barrier. */
-    std::vector<std::vector<ArbSend>> arbIn_;
+    /** Send lanes, two per source partition (indexed by window
+     *  parity): written only in their source's context, never by the
+     *  arbitration. */
+    std::vector<std::array<SendLane, 2>> lanes_;
     /** Arbitration merge scratch: (sent, src, idx), reused. */
     std::vector<std::pair<std::pair<Tick, std::uint32_t>, std::uint32_t>>
         arbScratch_;

@@ -50,9 +50,10 @@ awaitChange(const std::atomic<std::uint32_t>& word, std::uint32_t old)
 WorkerPool::WorkerPool(unsigned threads)
 {
     FAMSIM_ASSERT(threads >= 1, "worker pool needs at least one thread");
+    cursors_ = std::make_unique<Cursor[]>(threads);
     workers_.reserve(threads - 1);
     for (unsigned i = 1; i < threads; ++i)
-        workers_.emplace_back([this] { workerMain(); });
+        workers_.emplace_back([this, i] { workerMain(i); });
 }
 
 WorkerPool::~WorkerPool()
@@ -65,29 +66,35 @@ WorkerPool::~WorkerPool()
 }
 
 void
-WorkerPool::claimTasks()
+WorkerPool::claimTasks(unsigned worker)
 {
-    // Claim-and-run off the shared counter until every task index has
-    // been handed out. Exiting this loop means every task this worker
-    // claimed has completed.
-    for (;;) {
-        std::size_t task =
-            nextTask_.fetch_add(1, std::memory_order_relaxed);
-        if (task >= epochTasks_)
-            return;
-        epochThunk_(epochCtx_, task);
+    // Claim-and-run off this worker's own cursor (tasks worker,
+    // worker + T, ...), then off every other worker's in turn, until
+    // each cursor is past the last task. Exiting this loop means every
+    // task this worker claimed has completed.
+    const unsigned workers = threads();
+    for (unsigned k = 0; k < workers; ++k) {
+        const unsigned home = (worker + k) % workers;
+        std::atomic<std::size_t>& next = cursors_[home].next;
+        for (;;) {
+            const std::size_t task =
+                home + next.fetch_add(1, std::memory_order_relaxed) * workers;
+            if (task >= epochTasks_)
+                break;
+            epochThunk_(epochCtx_, task);
+        }
     }
 }
 
 void
-WorkerPool::workerMain()
+WorkerPool::workerMain(unsigned worker)
 {
     std::uint32_t seen = 0;
     for (;;) {
         seen = awaitChange(generation_, seen);
         if (shutdown_)
             return;
-        claimTasks();
+        claimTasks(worker);
         // The last worker out releases the caller; the notify is a
         // no-op unless the caller has parked.
         if (busy_.fetch_sub(1, std::memory_order_acq_rel) == 1)
@@ -109,7 +116,8 @@ WorkerPool::runTasks(std::size_t tasks, const void* ctx, TaskThunk thunk)
     epochCtx_ = ctx;
     epochThunk_ = thunk;
     epochTasks_ = tasks;
-    nextTask_.store(0, std::memory_order_relaxed);
+    for (unsigned w = 0; w < threads(); ++w)
+        cursors_[w].next.store(0, std::memory_order_relaxed);
     // Every worker joins every epoch (a full-acknowledgment barrier):
     // busy_ reaches zero only after each worker has observed this
     // generation, drained its claims and left the claim loop — so the
@@ -120,7 +128,7 @@ WorkerPool::runTasks(std::size_t tasks, const void* ctx, TaskThunk thunk)
                 std::memory_order_relaxed);
     generation_.fetch_add(1, std::memory_order_release);
     generation_.notify_all();
-    claimTasks();
+    claimTasks(0);
     for (std::uint32_t left = busy_.load(std::memory_order_acquire);
          left != 0; left = awaitChange(busy_, left)) {
     }

@@ -4,10 +4,13 @@
  * independent tasks at a time, with a full barrier between epochs.
  *
  * The parallel kernel runs one epoch per synchronization window: the
- * tasks are the partitions, claimed dynamically off a shared atomic
- * counter so an expensive partition (a media module in a miss storm,
- * or a worker that lost its CPU to host steal) does not leave the
- * other workers idle behind a static assignment.
+ * tasks are the partitions. Each worker claims its *home* tasks first
+ * — worker w of T runs tasks w, w + T, w + 2T, ... off its own cursor
+ * — so a partition's queue, caches and packets stay on one core from
+ * window to window. A worker whose home cursor runs dry then steals
+ * from the other workers' cursors, so an expensive partition (a media
+ * module in a miss storm) or a worker that lost its CPU to host steal
+ * does not leave the others idle behind a static assignment.
  *
  * The handoff is a spin-then-park barrier: an atomic generation
  * counter starts an epoch and an atomic busy count ends it. Waiters
@@ -63,7 +66,8 @@ class WorkerPool
 
     /**
      * Run fn(0) .. fn(tasks - 1), each exactly once, distributed over
-     * the pool (the caller helps). Returns only after every worker has
+     * the pool (the caller helps, as worker 0; each worker starts with
+     * its home tasks, then steals). Returns only after every worker has
      * acknowledged the epoch — a full barrier: everything the tasks
      * wrote happens-before the return. The workers call @p fn through
      * a reference, so an epoch costs no allocation.
@@ -82,9 +86,15 @@ class WorkerPool
     /** Type-erased task: the epoch's callable and its invoker. */
     using TaskThunk = void (*)(const void*, std::size_t);
 
+    /** A worker's claim cursor over its home tasks, on its own cache
+     *  line so the owner's claims do not bounce off its neighbours'. */
+    struct alignas(64) Cursor {
+        std::atomic<std::size_t> next{0};
+    };
+
     void runTasks(std::size_t tasks, const void* ctx, TaskThunk thunk);
-    void workerMain();
-    void claimTasks();
+    void workerMain(unsigned worker);
+    void claimTasks(unsigned worker);
 
     /** Bumped (release) to start an epoch or to shut down. */
     std::atomic<std::uint32_t> generation_{0};
@@ -96,7 +106,8 @@ class WorkerPool
     const void* epochCtx_ = nullptr;
     TaskThunk epochThunk_ = nullptr;
     std::size_t epochTasks_ = 0;
-    std::atomic<std::size_t> nextTask_{0};
+    /** One per worker, caller (worker 0) included; reset each epoch. */
+    std::unique_ptr<Cursor[]> cursors_;
     /** Caller-thread only. */
     std::uint64_t epochs_ = 0;
     /** Last: the threads use every member above. */

@@ -3,11 +3,15 @@
  * Partition-ownership checker (the FAMSIM_CHECK build option).
  *
  * The parallel kernel's correctness rests on an ownership discipline:
- * a partition's event queue and its plain (non-atomic) statistics are
- * written only by the worker currently executing that partition, its
- * barrier inbox only by the coordinator between windows, and every
+ * a partition's event queue, its plain (non-atomic) statistics and its
+ * send lanes are written only by the worker currently executing that
+ * partition, its barrier inbox (arrival records and barrier-op
+ * deliveries) only by the coordinator between windows, and every
  * cross-partition interaction goes through an arbitrated send or a
- * barrier op. TSan can
+ * barrier op. The one cross-partition touch inside a window is the
+ * drain's: a destination moves its arrivals' payloads out of their
+ * sources' previous-parity lanes, which no source writes that window.
+ * TSan can
  * catch a violation only when the scheduler happens to overlap the two
  * touches; this checker tags each guarded object with its owning
  * partition at wiring time, tracks the calling thread's (partition,
@@ -22,9 +26,12 @@
  *    cross-partition touches are legal by design.
  *  - Drain / Exec (the inbox flush and the execution that follows it,
  *    inside one window task): a thread may only touch state owned by
- *    the partition it is executing, and may not push into any inbox.
- *    During Drain, message payloads may be moved but never run or
- *    destroyed, so packet-pool traffic is additionally banned.
+ *    the partition it is executing, and may not push an arrival record
+ *    or a delivery into any inbox. During Drain, message payloads may
+ *    be moved (out of the source lanes or the inbox, into the queue)
+ *    but never run or destroyed, so packet-pool traffic is
+ *    additionally banned; the sources destroy their moved-out
+ *    payloads when they next reuse the lane.
  *
  * SharedCounter and JobStatTable are deliberately untagged: their
  * relaxed-atomic adds are order-independent sums, safe and
@@ -168,9 +175,10 @@ queueSchedule(std::uint32_t owner)
 }
 
 /**
- * Hook: NodeQueue::deliver into partition @p owner's inbox. Inboxes
- * are written only between windows, so any push from inside a window
- * task fatals, even one into the executing partition's own inbox.
+ * Hook: NodeQueue::arrive or deliver into partition @p owner's inbox.
+ * Inboxes are written only between windows, so any push from inside a
+ * window task fatals, even one into the executing partition's own
+ * inbox.
  */
 inline void
 inboxPush(std::uint32_t owner)

@@ -4,8 +4,10 @@
  *
  * The negative tests seed deliberate ownership violations — a
  * cross-partition stat write, a mid-exec mailbox bypass (direct
- * schedule onto a foreign queue), an inbox push inside a window, a
- * packet pool op during an inbox flush — and pin the
+ * schedule onto a foreign queue), an inbox push or arrival record
+ * inside a window, a packet pool op during an inbox flush, a fabric
+ * payload that its destination's drain runs instead of moving it out
+ * of the source's lane — and pin the
  * owner/accessor/phase diagnostic. They run the kernel with
  * threads = 1, where the worker pool degenerates to a plain caller
  * loop, so the panic-thrown SimError (ScopedThrowOnError) propagates
@@ -110,6 +112,61 @@ TEST(OwnershipCheck, InboxPushInsideWindowFatals)
     } catch (const SimError& err) {
         expectDiagnostic(err.what(), "inbox of partition 0",
                          "partition 1", "exec");
+    }
+}
+
+TEST(OwnershipCheck, ArrivalRecordPushInsideWindowFatals)
+{
+    // Arrival records (an arbitrated send's {tick, src, idx}) share the
+    // inbox discipline: only the arbitration, between windows, writes
+    // them.
+    NodeQueue nq(0);
+    check::PhaseScope phase(1, check::Phase::Exec);
+    ScopedThrowOnError guard;
+    try {
+        nq.arrive(50, 1, 0);
+        FAIL() << "expected the ownership checker to fire";
+    } catch (const SimError& err) {
+        expectDiagnostic(err.what(), "inbox of partition 0",
+                         "partition 1", "exec");
+    }
+}
+
+TEST(OwnershipCheck, DrainThatRunsAnArbitratedPayloadFatals)
+{
+    // Seed the violation: a fabric payload that does simulation work
+    // (here, allocating a packet) when the destination's drain invokes
+    // it, instead of scheduling a continuation. The drain must only
+    // move payloads out of the source's lane, so the packet pool hook
+    // fires on the destination, in its drain phase.
+    struct TenTicks : Arbiter {
+        Tick
+        arbitrate(unsigned, Tick sent) override
+        {
+            return sent + 10;
+        }
+    } arbiter;
+    Simulation sim;
+    sim.setPartitions(kLayout);
+    ParallelSim psim(sim, kTopology, 1);
+    psim.withPartition(0, [&] {
+        sim.events().schedule(5, [&] {
+            psim.postArbitrated(
+                arbiter, 0, 1, DeliverFn([](EventQueue&, Tick) {
+                    (void)makePacket(0, 0, MemOp::Read, PacketKind::Data);
+                }));
+        });
+    });
+    ScopedThrowOnError guard;
+    try {
+        psim.run();
+        FAIL() << "expected the ownership checker to fire";
+    } catch (const SimError& err) {
+        const std::string msg = err.what();
+        EXPECT_NE(msg.find("packet pool operation on partition 1"),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("drain phase"), std::string::npos) << msg;
     }
 }
 

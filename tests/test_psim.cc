@@ -323,6 +323,137 @@ TEST(Mailbox, ArbitratedDrainUsesSenderTickOrder)
                              {53, 1}, {57, 1}, {57, 2}}));
 }
 
+/** The thread counts the delivery-order tests run at (the pool clamps
+ *  to the partition count). */
+constexpr unsigned kOrderThreads[] = {1, 2, 4};
+
+/**
+ * Within one barrier, a destination receives the arbitrated arrivals
+ * before the barrier ops' deliveries, so at one tick the arbitrated
+ * continuation runs first.
+ */
+TEST(Mailbox, ArbitratedArrivalRunsBeforeBarrierOpDeliveryAtOneTick)
+{
+    for (unsigned threads : kOrderThreads) {
+        Simulation sim;
+        ParallelSim psim(sim, uniformTopology(sim, /*media=*/3, 100),
+                         threads);
+        DelayArbiter arbiter(100);
+        std::vector<std::pair<Tick, std::string>> ran;
+        auto note = [&](const char* what) {
+            ran.emplace_back(sim.curTick(), what);
+        };
+        // Node 0 at tick 5: a fabric send to media 1, delivered at 105,
+        // and a barrier op due 105 that delivers to media 1 at 105. The
+        // window ends at the op's due, so the arbitration and the op
+        // share the next barrier.
+        psim.withPartition(0, [&] {
+            sim.events().schedule(5, [&] {
+                psim.postArbitrated(arbiter, 0, 1, makeDelivery([&] {
+                    note("arbitrated");
+                }));
+                psim.postGlobal(105, [&] {
+                    psim.deliver(1, 105, makeDelivery([&] {
+                        note("barrier op");
+                    }));
+                });
+            });
+        });
+        psim.run();
+        EXPECT_EQ(ran, (std::vector<std::pair<Tick, std::string>>{
+                           {105, "arbitrated"}, {105, "barrier op"}}))
+            << threads << " threads";
+    }
+}
+
+/**
+ * A one-tick-per-send channel: each send leaves at max(sent + delay,
+ * the tick after the previous send's delivery), so the delivery ticks
+ * encode the order the sends were arbitrated in.
+ */
+class SerialArbiter : public Arbiter
+{
+  public:
+    explicit SerialArbiter(Tick delay) : delay_(delay) {}
+
+    Tick
+    arbitrate(unsigned channel, Tick sent) override
+    {
+        order.emplace_back(sent, channel);
+        free_ = std::max(sent + delay_, free_);
+        return free_++;
+    }
+
+    std::vector<std::pair<Tick, unsigned>> order;
+
+  private:
+    Tick delay_;
+    Tick free_ = 0;
+};
+
+/**
+ * Two sources each send in three consecutive windows, so both of
+ * their lane parities are used and each lane is reused: every send is
+ * arbitrated in (sent, src, seq) order and delivered at the tick its
+ * arbitration returned, in that order.
+ */
+TEST(Mailbox, SendsAcrossThreeWindowsKeepSenderTickOrder)
+{
+    // (tick, source node) of every send; a source's sends at one tick
+    // keep their post order (seq).
+    const std::vector<std::pair<Tick, std::uint32_t>> sends = {
+        {10, 0}, {10, 1}, {10, 0}, {60, 1}, {60, 0}, {60, 1},
+        {150, 0}, {150, 1}, {190, 0}, {250, 1}, {250, 0}, {250, 0},
+        {300, 1}};
+    for (unsigned threads : kOrderThreads) {
+        Simulation sim;
+        sim.setPartitions(PartitionLayout(2, 1)); // nodes 0, 1; media 2
+        ParallelSim psim(sim, ParallelSim::Topology{100, 100}, threads);
+        SerialArbiter arbiter(100);
+        using Tag = std::tuple<Tick, std::uint32_t, unsigned>;
+        std::vector<Tag> delivered; // written by media 2 only
+        std::vector<std::uint64_t> windows[2]; // per source
+        unsigned seq[2] = {0, 0};
+        for (const auto& [tick, src] : sends) {
+            const unsigned n = seq[src]++;
+            psim.withPartition(src, [&, tick = tick, src = src] {
+                sim.events().schedule(tick, [&, src, n] {
+                    windows[src].push_back(psim.epoch());
+                    psim.postArbitrated(
+                        arbiter, src, 2, makeDelivery([&, src, n] {
+                            delivered.emplace_back(sim.curTick(), src, n);
+                        }));
+                });
+            });
+        }
+        psim.run();
+
+        // Each source sent in three consecutive windows.
+        for (auto& w : windows) {
+            w.erase(std::unique(w.begin(), w.end()), w.end());
+            ASSERT_EQ(w.size(), 3u) << threads << " threads";
+            EXPECT_EQ(w[2], w[0] + 2) << threads << " threads";
+        }
+        // Expected: the sends in (sent, src, seq) order, each on the
+        // one-tick channel.
+        std::vector<Tag> keyed;
+        unsigned next[2] = {0, 0};
+        for (const auto& [tick, src] : sends)
+            keyed.emplace_back(tick, src, next[src]++);
+        std::sort(keyed.begin(), keyed.end());
+        std::vector<std::pair<Tick, unsigned>> order;
+        std::vector<Tag> expected;
+        Tick free = 0;
+        for (const auto& [tick, src, n] : keyed) {
+            order.emplace_back(tick, src);
+            free = std::max(tick + 100, free);
+            expected.emplace_back(free++, src, n);
+        }
+        EXPECT_EQ(arbiter.order, order) << threads << " threads";
+        EXPECT_EQ(delivered, expected) << threads << " threads";
+    }
+}
+
 /** Lookahead violations are simulator bugs and must be caught. */
 TEST(Mailbox, PostBelowLookaheadPanics)
 {
@@ -426,6 +557,47 @@ TEST(WorkerPool, ManyShortEpochsPublishPlainWrites)
             ASSERT_EQ(slots[t], round * kMaxTasks + t) << "round " << round;
     }
     EXPECT_EQ(pool.epochs(), nonEmpty);
+}
+
+/**
+ * The steal path: worker 0 (the caller) claims its first home task,
+ * which blocks until every other task of the epoch has run, so its
+ * remaining home tasks (4, 8, ...) only run if other workers steal
+ * them. A pool without stealing would wait here forever; the blocked
+ * task gives up after a deadline so the test fails instead of hanging.
+ */
+TEST(WorkerPool, BlockedHomeTasksAreStolen)
+{
+    using std::chrono::steady_clock;
+    constexpr unsigned kThreads = 4;
+    constexpr std::size_t kTasks = 8 * kThreads;
+    WorkerPool pool(kThreads);
+    for (int epoch = 0; epoch < 20; ++epoch) {
+        std::vector<std::atomic<int>> counts(kTasks);
+        std::atomic<std::size_t> others{0};
+        std::atomic<bool> timedOut{false};
+        pool.runEpoch(kTasks, [&](std::size_t task) {
+            counts[task].fetch_add(1, std::memory_order_relaxed);
+            if (task != 0) {
+                others.fetch_add(1, std::memory_order_acq_rel);
+                return;
+            }
+            const auto deadline = steady_clock::now() +
+                                  std::chrono::seconds(10);
+            while (others.load(std::memory_order_acquire) < kTasks - 1) {
+                if (steady_clock::now() > deadline) {
+                    timedOut.store(true);
+                    return;
+                }
+                std::this_thread::yield();
+            }
+        });
+        ASSERT_FALSE(timedOut.load())
+            << "epoch " << epoch << ": only " << others.load() << " of "
+            << kTasks - 1 << " other tasks ran while task 0 blocked";
+        for (std::size_t t = 0; t < kTasks; ++t)
+            EXPECT_EQ(counts[t].load(), 1) << "task " << t;
+    }
 }
 
 /** Workers idle past the spin budget park; an epoch and the shutdown
